@@ -1,8 +1,10 @@
-"""Node budgets for the exact search routines.
+"""Work budgets for the exact search routines.
 
-Every potentially exponential search in the package charges one unit per
-search-tree node against a budget.  Exceeding the budget raises, so a call
-either returns an exact answer or a clear error, never a truncated result.
+Every potentially exponential search in the package charges the budget in
+proportion to its work: a unit is a bounded step of work, such as scanning
+one edge or one label, not a search-tree node.  Exceeding the budget
+raises, so a call either returns an exact answer or a clear error, never a
+truncated result.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact search uses up its node budget."""
+    """Raised when an exact search uses up its work budget."""
 
     def __init__(self, limit: int):
         super().__init__(f"search exceeded its node budget of {limit}")
@@ -19,7 +21,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class Budget:
-    """Mutable node counter shared across the phases of one operation."""
+    """Mutable work counter shared across the phases of one operation."""
 
     __slots__ = ("limit", "used")
 

@@ -195,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true",
                        help="emit a single JSON object instead of text")
-        p.add_argument("--budget", type=int, default=None, metavar="NODES",
-                       help=f"search node budget (default {DEFAULT_BUDGET}, "
+        p.add_argument("--budget", type=int, default=None, metavar="UNITS",
+                       help=f"search budget in units of work (default {DEFAULT_BUDGET}, "
                             f"or ${BUDGET_ENV_VAR})")
         p.add_argument("--format", choices=["auto", "edge-list", "dimacs", "graph6"],
                        default="auto", help="input graph format (default: auto)")

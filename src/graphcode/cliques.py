@@ -1,10 +1,17 @@
 """Total clique coverings: exact minimum search and related machinery.
 
-A total clique covering is a set of cliques that covers every vertex and
-every edge.  The minimum size theta_t is found by iterative deepening over
-a candidate pool holding every clique of size >= 2 plus one singleton per
-isolated vertex.  Minimum coverings may contain non-maximal cliques, so the
-pool is deliberately not restricted to maximal cliques.
+A total clique covering is a set of distinct cliques that covers every
+vertex and every edge.  In a minimum one the singletons are exactly the
+isolated vertices, and every other clique extends to a maximal clique;
+the extensions are distinct, since otherwise a smaller covering would
+exist.  So theta_t is the isolated count plus the least number of maximal
+cliques of size >= 2 that cover every edge, found by iterative deepening
+over those maximal cliques (Gramm, Guo, Hueffner and Niedermeier, "Data
+reduction and exact algorithms for clique cover", ACM JEA 13, 2009).
+
+Every minimum total covering is a shrink of a minimum maximal-clique
+covering: S_i subset of M_i with |S_i| >= 2, still covering every edge.
+A shrink is irreducible when no vertex can be dropped from any S_i.
 """
 
 from __future__ import annotations
@@ -13,33 +20,51 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget
-from .graphs import Graph, isolated_vertices, realize_sequence
+from .graphs import Graph
 from .primes import prime_support
 
 Clique = frozenset  # of vertex ids
 Covering = tuple    # ordered tuple of Cliques
 
 
-def maximal_cliques(g: Graph) -> set[Clique]:
+def maximal_cliques(g: Graph, budget: int | Budget | None = None) -> set[Clique]:
     """All maximal cliques, found by pivoted recursive expansion.
 
-    Isolated vertices appear as singleton cliques.
+    Isolated vertices appear as singleton cliques.  Vertex sets are local
+    bitmasks, so the graph's cached adjacency sets are not built.  Each
+    expansion charges one budget unit.
     """
-    adjacency = g.adjacency
+    tracker = Budget.coerce(budget)
+    neighbors = [0] * g.vertex_count
+    for u, v in g.edges:
+        neighbors[u] |= 1 << v
+        neighbors[v] |= 1 << u
     found: set[Clique] = set()
 
-    def expand(include: set[int], candidates: set[int], excluded: set[int]) -> None:
+    def expand(include: int, candidates: int, excluded: int) -> None:
+        tracker.charge()
         if not candidates and not excluded:
-            found.add(frozenset(include))
+            found.add(frozenset(_members(include)))
             return
-        pivot = max(candidates | excluded, key=lambda u: len(adjacency[u] & candidates))
-        for v in sorted(candidates - adjacency[pivot]):
-            expand(include | {v}, candidates & adjacency[v], excluded & adjacency[v])
-            candidates.remove(v)
-            excluded.add(v)
+        pivot = max(_members(candidates | excluded),
+                    key=lambda u: (neighbors[u] & candidates).bit_count())
+        for v in _members(candidates & ~neighbors[pivot]):
+            expand(include | 1 << v, candidates & neighbors[v], excluded & neighbors[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
 
-    expand(set(), set(g.vertices()), set())
+    expand(0, (1 << g.vertex_count) - 1, 0)
     return found
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def all_cliques(g: Graph, min_size: int = 1) -> Iterator[Clique]:
@@ -86,88 +111,239 @@ def canonical_covering(cliques: Iterable[Iterable[int]]) -> Covering:
                         key=lambda c: (len(c), sorted(c))))
 
 
-def _candidate_pool(g: Graph) -> list[Clique]:
-    pool = [frozenset({v}) for v in sorted(isolated_vertices(g))]
-    pool.extend(all_cliques(g, min_size=2))
-    pool.sort(key=lambda c: (len(c), sorted(c)))
-    return pool
+def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
+                       ) -> tuple[tuple[Clique, ...], list[tuple[Clique, ...]]]:
+    """The isolated vertices' singletons, and the least edge coverings by
+    maximal cliques of size >= 2.
 
-
-def _cover_search(g: Graph, tracker: Budget, enumerate_all: bool,
-                  ) -> tuple[int, list[frozenset[Clique]]]:
-    """Iterative-deepening search over the candidate pool.
-
-    Returns (theta_t, coverings); the covering list is complete when
-    enumerate_all is set and holds a single witness otherwise.
+    Cliques that alone hold some edge are taken first; iterative deepening
+    over the rest starts at their packing bound.  Each node branches on the
+    uncovered edge with the fewest allowed candidate cliques; a candidate
+    tried in one branch is forbidden in its later siblings, so no covering
+    is found twice.  A node is cut when some uncovered edge has no allowed
+    candidate, or when more uncovered edges than the remaining depth pairwise
+    share no allowed candidate (each of them needs a clique of its own).
+    Every node charges 1 plus the uncovered edges it scans.  Returns every
+    least covering when find_all is set and one witness otherwise; an
+    edgeless graph has the single empty covering.
     """
     if g.vertex_count == 0:
         raise ValueError("coverings need at least one vertex")
-    n = g.vertex_count
+    maximal = maximal_cliques(g, tracker)
+    singletons = tuple(sorted((c for c in maximal if len(c) == 1), key=min))
+    cliques = sorted((c for c in maximal if len(c) > 1), key=lambda c: (-len(c), sorted(c)))
     edges = g.sorted_edges()
-    edge_bit = {e: n + i for i, e in enumerate(edges)}
-    pool = _candidate_pool(g)
-
-    masks = []
-    for clique in pool:
-        mask = 0
-        for v in clique:
-            mask |= 1 << v
+    if not edges:
+        return singletons, [()]
+    # Edge bits run from the fewest candidate cliques to the most, so the
+    # greedy packing below meets the most constrained edges first.
+    candidates: dict[tuple[int, int], int] = {e: 0 for e in edges}
+    for j, clique in enumerate(cliques):
         for e in combinations(sorted(clique), 2):
-            mask |= 1 << edge_bit[e]
-        masks.append(mask)
+            candidates[e] |= 1 << j
+    edges.sort(key=lambda e: candidates[e].bit_count())
+    allowed_by_bit = [candidates[e] for e in edges]
+    bit_of = {e: i for i, e in enumerate(edges)}
+    covers = []
+    for clique in cliques:
+        mask = 0
+        for e in combinations(sorted(clique), 2):
+            mask |= 1 << bit_of[e]
+        covers.append(mask)
+    found: list[tuple[int, ...]] = []
 
-    element_count = n + len(edges)
-    full = (1 << element_count) - 1
-    by_element: list[list[int]] = [[] for _ in range(element_count)]
-    for idx, mask in enumerate(masks):
-        probe = mask
-        while probe:
-            low = probe & -probe
-            by_element[low.bit_length() - 1].append(idx)
-            probe ^= low
-    max_cover = max((m.bit_count() for m in masks), default=0)
+    def scan(uncovered: int, forbidden: int) -> tuple[int, int]:
+        """(packing bound, allowed candidates of the most constrained edge).
 
-    found: set[frozenset[Clique]] = set()
+        The bound is -1 when some edge has no allowed candidate.  An edge
+        with a single one ends the scan early with bound 0, since that
+        clique is forced.  Charges 1 plus the edges scanned."""
+        keep = ~forbidden
+        blocked = bound = 0
+        fewest = fewest_count = 0
+        scanned = 1
+        while uncovered:
+            low = uncovered & -uncovered
+            uncovered ^= low
+            scanned += 1
+            allowed = allowed_by_bit[low.bit_length() - 1] & keep
+            if not allowed & (allowed - 1):
+                tracker.charge(scanned)
+                return (0, allowed) if allowed else (-1, 0)
+            if not allowed & blocked:
+                bound += 1
+                blocked |= allowed
+            count = allowed.bit_count()
+            if not fewest or count < fewest_count:
+                fewest, fewest_count = allowed, count
+        tracker.charge(scanned)
+        return bound, fewest
 
-    def descend(covered: int, chosen: tuple[int, ...], remaining: int) -> bool:
-        tracker.charge()
-        if covered == full:
-            found.add(frozenset(pool[i] for i in chosen))
-            return True
-        if remaining == 0:
-            return False
-        uncovered = full ^ covered
-        if uncovered.bit_count() > remaining * max_cover:
-            return False
-        element = (uncovered & -uncovered).bit_length() - 1
+    def descend(uncovered: int, forbidden: int, chosen: tuple[int, ...], remaining: int) -> bool:
+        while True:
+            if not uncovered:
+                found.append(chosen)
+                return True
+            if not remaining:
+                return False
+            bound, options = scan(uncovered, forbidden)
+            if not 0 <= bound <= remaining:
+                return False
+            if options & (options - 1):
+                break
+            # A single allowed candidate is forced; take it without branching.
+            j = options.bit_length() - 1
+            uncovered &= ~covers[j]
+            chosen += (j,)
+            remaining -= 1
         hit = False
-        for idx in by_element[element]:
-            if descend(covered | masks[idx], chosen + (idx,), remaining - 1):
-                if not enumerate_all:
+        while options:
+            low = options & -options
+            options ^= low
+            j = low.bit_length() - 1
+            if descend(uncovered & ~covers[j], forbidden, chosen + (j,), remaining - 1):
+                if not find_all:
                     return True
                 hit = True
+            forbidden |= low
         return hit
 
-    lower = max(1, len(isolated_vertices(g)) + (1 if edges else 0))
-    for depth in range(lower, len(pool) + 1):
-        found.clear()
-        if descend(0, (), depth):
-            return depth, sorted(found, key=lambda cov: sorted((len(c), sorted(c)) for c in cov))
-    raise AssertionError("unreachable: the full candidate pool is a covering")
+    # A clique that alone holds some edge is in every covering; the rest
+    # need at least their packing bound of further cliques.
+    tracker.charge(1 + len(edges))
+    alone = 0
+    for allowed in allowed_by_bit:
+        if not allowed & (allowed - 1):
+            alone |= allowed
+    forced = tuple(j for j in range(len(cliques)) if alone >> j & 1)
+    uncovered = (1 << len(edges)) - 1
+    for j in forced:
+        uncovered &= ~covers[j]
+    depth = scan(uncovered, 0)[0] if uncovered else 0
+    while not descend(uncovered, 0, forced, depth):
+        depth += 1
+    return singletons, [tuple(cliques[j] for j in chosen) for chosen in found]
+
+
+def _shrinks(covering: tuple[Clique, ...], tracker: Budget, irreducible: bool,
+             ) -> list[tuple[Clique, ...]]:
+    """Every S_1..S_k with S_i subset of M_i that covers the same edges.
+
+    covering is a least edge covering M_1..M_k by maximal cliques, so no
+    S_i can fall below two vertices.  Vertices are dropped one (clique,
+    vertex) item at a time while every edge stays covered; only items whose
+    whole star in M_i lies in other cliques too can ever go.  With
+    irreducible set, only shrinks from which no vertex can be dropped are
+    kept: an item kept while it could still go must end essential, and a
+    branch is cut as soon as one such item no longer can.  Each drop test
+    charges 1 plus the star it checks.
+    """
+    members = [set(c) for c in covering]
+    share: dict[tuple[int, int], int] = {}
+    holders: dict[tuple[int, int], list[int]] = {}
+    for i, clique in enumerate(covering):
+        for e in combinations(sorted(clique), 2):
+            share[e] = share.get(e, 0) + 1
+            holders.setdefault(e, []).append(i)
+
+    def droppable(i: int, v: int) -> bool:
+        tracker.charge(len(members[i]))
+        return all(share[(v, w) if v < w else (w, v)] > 1 for w in members[i] if w != v)
+
+    def shift(i: int, v: int, step: int) -> None:
+        for w in members[i]:
+            if w != v:
+                share[(v, w) if v < w else (w, v)] += step
+
+    items = sorted(((i, v) for i, clique in enumerate(covering) for v in clique
+                    if droppable(i, v)), key=lambda item: (item[1], item[0]))
+    position = {item: t for t, item in enumerate(items)}
+    # The last item that can take edge e out of clique j, -1 if none can.
+    release = {(e, j): max(position.get((j, e[0]), -1), position.get((j, e[1]), -1))
+               for e, js in holders.items() for j in js}
+    out: list[tuple[Clique, ...]] = []
+
+    def essential_status(i: int, v: int, t: int) -> int:
+        """2 when an edge of v in S_i lies in no other clique (it stays so),
+        1 when the undecided items from t on could still make one so: every
+        other clique holding the edge must be able to lose an endpoint.
+        Charges 1 plus the edges and holders it checks."""
+        status = 0
+        checks = 1
+        for w in members[i]:
+            if w == v:
+                continue
+            e = (v, w) if v < w else (w, v)
+            checks += 1
+            if share[e] == 1:
+                status = 2
+                break
+            if not status:
+                checks += len(holders[e])
+                if all(j == i or release[e, j] >= t or v not in members[j] or w not in members[j]
+                       for j in holders[e]):
+                    status = 1
+        tracker.charge(checks)
+        return status
+
+    def walk(t: int, pending: list[tuple[int, int]]) -> None:
+        """Decide the items from t on; pending holds the kept items that
+        were droppable when kept and must end essential."""
+        while t < len(items) and not droppable(*items[t]):
+            t += 1
+        still = []
+        for i, v in pending:
+            status = essential_status(i, v, t)
+            if not status:
+                return
+            if status == 1:
+                still.append((i, v))
+        if t == len(items):
+            out.append(tuple(frozenset(s) for s in members))
+            return
+        i, v = items[t]
+        shift(i, v, -1)
+        members[i].remove(v)
+        walk(t + 1, still)
+        members[i].add(v)
+        shift(i, v, 1)
+        walk(t + 1, still + [(i, v)] if irreducible else still)
+
+    walk(0, [])
+    return out
+
+
+def _total_coverings(g: Graph, tracker: Budget, irreducible: bool) -> list[Covering]:
+    singletons, coverings = _maximal_coverings(g, tracker, find_all=True)
+    found: set[frozenset[Clique]] = set()
+    for covering in coverings:
+        for shrink in _shrinks(covering, tracker, irreducible):
+            found.add(frozenset(singletons + shrink))
+    ordered = sorted(found, key=lambda cov: sorted((len(c), sorted(c)) for c in cov))
+    return [canonical_covering(c) for c in ordered]
 
 
 def theta_t(g: Graph, budget: int | Budget | None = None) -> int:
     """Minimum size of a total clique covering."""
     tracker = Budget.coerce(budget)
-    size, _ = _cover_search(g, tracker, enumerate_all=False)
-    return size
+    singletons, (witness,) = _maximal_coverings(g, tracker, find_all=False)
+    return len(singletons) + len(witness)
 
 
 def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> list[Covering]:
     """Every minimum total clique covering, canonically ordered and deduplicated."""
-    tracker = Budget.coerce(budget)
-    _, coverings = _cover_search(g, tracker, enumerate_all=True)
-    return [canonical_covering(c) for c in coverings]
+    return _total_coverings(g, Budget.coerce(budget), irreducible=False)
+
+
+def irreducible_minimum_coverings(g: Graph, budget: int | Budget | None = None,
+                                  ) -> list[Covering]:
+    """The minimum total clique coverings from which no vertex can be dropped.
+
+    Dropping a vertex from a non-singleton clique divides one label by that
+    clique's prime under every assignment, so the code is always attained
+    at one of these.  Canonically ordered and deduplicated.
+    """
+    return _total_coverings(g, Budget.coerce(budget), irreducible=True)
 
 
 def covering_from_sequence(entries: Sequence[int]) -> Covering:
@@ -231,8 +407,3 @@ def covering_from_text(text: str) -> Covering:
     if not cliques:
         raise ValueError("no cliques in covering text")
     return tuple(cliques)
-
-
-def realization_of_sequence(entries: Sequence[int]) -> Graph:
-    """Host graph for covering_from_sequence, on the sequence positions."""
-    return realize_sequence(entries).graph

@@ -10,18 +10,14 @@ when they are isomorphic.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .budget import Budget
-from .cliques import is_total_clique_covering, maximal_cliques, minimum_total_coverings
+from .cliques import irreducible_minimum_coverings, is_total_clique_covering, maximal_cliques
 from .graphs import Graph, LabeledGraph, realize_sequence
 from .primes import first_primes, is_square_free, prime_support
-
-# Full factorial sweeps stay cheap up to this many non-singleton cliques;
-# beyond it the branch-and-bound takes over.
-EXHAUSTIVE_ASSIGNMENT_MAX = 6
 
 
 def check_sequence_shape(entries: Sequence[int]) -> None:
@@ -140,12 +136,12 @@ def _swap_bits(x: int, a: int, b: int) -> int:
     return x
 
 
-def _interchangeable_lower_masks(patterns: list[int], k: int) -> list[int]:
+def _interchangeable_lower_masks(patterns: list[int], k: int, tracker: Budget) -> list[int]:
     """For each clique, the mask of lower-indexed interchangeable cliques.
 
     Two cliques are interchangeable when swapping them maps the multiset of
     vertex membership patterns to itself; assignments then need only try
-    them in index order.
+    them in index order.  Each pair tested charges one budget unit.
     """
     reference = sorted(patterns)
     parent = list(range(k))
@@ -157,6 +153,7 @@ def _interchangeable_lower_masks(patterns: list[int], k: int) -> list[int]:
         return x
 
     for a, b in combinations(range(k), 2):
+        tracker.charge()
         if sorted(_swap_bits(p, a, b) for p in patterns) == reference:
             parent[find(b)] = find(a)
     lower = [0] * k
@@ -165,26 +162,6 @@ def _interchangeable_lower_masks(patterns: list[int], k: int) -> list[int]:
             if find(d) == find(c):
                 lower[c] |= 1 << d
     return lower
-
-
-def _sorted_labels_exhaustive(patterns: list[int], k: int, ones: int,
-                              primes: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    for perm in permutations(primes):
-        labels = [1] * ones
-        for pattern in patterns:
-            label = 1
-            probe = pattern
-            while probe:
-                low = probe & -probe
-                label *= perm[low.bit_length() - 1]
-                probe ^= low
-            labels.append(label)
-        candidate = tuple(sorted(labels))
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
 
 
 def _min_label_sequence(g: Graph, covering: Sequence[Iterable[int]],
@@ -201,18 +178,7 @@ def _min_label_sequence(g: Graph, covering: Sequence[Iterable[int]],
     if k == 0:
         sequence = (1,) * ones
         return min(seed, sequence) if seed is not None else sequence
-    if k <= EXHAUSTIVE_ASSIGNMENT_MAX:
-        tracker.charge(_factorial(k))
-        sequence = _sorted_labels_exhaustive(patterns, k, ones, primes)
-        return min(seed, sequence) if seed is not None else sequence
     return _min_sequence_branch_and_bound(patterns, members, ones, primes, tracker, seed)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _min_sequence_branch_and_bound(patterns: list[int], members: list[list[int]],
@@ -226,10 +192,13 @@ def _min_sequence_branch_and_bound(patterns: list[int], members: list[list[int]]
     unassigned clique; unfinished labels can only grow, so the sorted bound
     sequence is a componentwise floor for every completion under this node
     and any branch whose floor is lexicographically >= the incumbent is cut.
+    Every node, greedy descent included, charges 1 + m + k budget units for
+    its m labels and k cliques.
     """
     k = len(members)
     m = len(patterns)
-    lower_mask = _interchangeable_lower_masks(patterns, k)
+    node_cost = 1 + m + k
+    lower_mask = _interchangeable_lower_masks(patterns, k, tracker)
     suffix: list[list[int]] = []
     for j in range(k + 1):
         run = [1]
@@ -264,6 +233,7 @@ def _min_sequence_branch_and_bound(patterns: list[int], members: list[list[int]]
         return [c for _, _, c in ranked]
 
     def greedy(assigned: int, j: int) -> tuple[int, ...]:
+        tracker.charge(node_cost)
         if j == k:
             return bound_sequence(assigned, j)
         c = candidate_order(assigned, j)[0]
@@ -276,7 +246,7 @@ def _min_sequence_branch_and_bound(patterns: list[int], members: list[list[int]]
 
     def descend(assigned: int, j: int) -> None:
         nonlocal incumbent
-        tracker.charge()
+        tracker.charge(node_cost)
         floor = bound_sequence(assigned, j)
         if incumbent is not None and floor >= incumbent:
             return
@@ -310,10 +280,13 @@ def sigma_of_covering(g: Graph, covering: Sequence[Iterable[int]],
 
 
 def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:
-    """The canonical code: least sigma over all minimum total clique coverings."""
+    """The canonical code: least sigma over all minimum total clique coverings.
+
+    Only irreducible coverings can attain it, so only those are searched.
+    """
     tracker = Budget.coerce(budget)
     best = None
-    for covering in minimum_total_coverings(g, tracker):
+    for covering in irreducible_minimum_coverings(g, tracker):
         best = _min_label_sequence(g, covering, tracker, seed=best)
     assert best is not None
     return best

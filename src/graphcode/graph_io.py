@@ -4,6 +4,8 @@ Edge-list text: first non-comment line is "n m", then one "u v" pair per
 line with 0-based vertex ids; "#" starts a comment.  DIMACS: "p edge n m"
 header and "e u v" lines with 1-based ids.  graph6 is the usual ASCII
 packing of the upper triangle, limited here to at most 62 vertices.
+Edge-list and DIMACS inputs may declare at most MAX_VERTICES vertices; the
+header is checked before anything is built from it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ import os
 from .graphs import Graph, graph_from_edge_list
 
 GRAPH6_MAX_VERTICES = 62
+# The exact searches are exponential and meant for a few dozen vertices;
+# this cap keeps a header's vertex count from sizing anything much larger.
+MAX_VERTICES = 10_000
 _GRAPH6_HEADER = ">>graph6<<"
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"inputs are limited to {MAX_VERTICES} vertices, header declares {n}")
 
 
 def _strip_comments(text: str, markers: tuple[str, ...]) -> list[str]:
@@ -27,7 +37,10 @@ def _strip_comments(text: str, markers: tuple[str, ...]) -> list[str]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n m" header plus m lines of "u v" 0-based pairs."""
+    """Parse "n m" header plus m lines of "u v" 0-based pairs.
+
+    Raises ValueError, before reading any edge, when n > MAX_VERTICES.
+    """
     lines = _strip_comments(text, ("#",))
     if not lines:
         raise ValueError("empty edge-list input")
@@ -38,6 +51,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}") from None
+    _check_vertex_count(n)
     body = lines[1:]
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, found {len(body)}")
@@ -62,7 +76,10 @@ def render_edge_list(g: Graph) -> str:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse the DIMACS edge format ("p edge n m", "e u v" 1-based)."""
+    """Parse the DIMACS edge format ("p edge n m", "e u v" 1-based).
+
+    Raises ValueError, before reading any edge, when n > MAX_VERTICES.
+    """
     lines = _strip_comments(text, ("c",))
     if not lines or not lines[0].startswith("p"):
         raise ValueError("DIMACS input must start with a 'p edge n m' line")
@@ -73,6 +90,7 @@ def parse_dimacs(text: str) -> Graph:
         n, m = int(header[2]), int(header[3])
     except ValueError:
         raise ValueError(f"bad DIMACS header {lines[0]!r}") from None
+    _check_vertex_count(n)
     edges = []
     for line in lines[1:]:
         parts = line.split()

@@ -183,6 +183,14 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
+def test_oversized_header_exits_1(capsys, tmp_path):
+    path = tmp_path / "huge.edges"
+    path.write_text("1000000000 0\n")
+    status, _, err = run_cli(capsys, "code", str(path))
+    assert status == 1
+    assert "limited" in err
+
+
 def test_format_override(capsys):
     status, out, _ = run_cli(capsys, "code", "--format", "dimacs", str(DATA / "example1.dimacs"))
     assert status == 0

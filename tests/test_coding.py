@@ -113,8 +113,8 @@ def test_sigma_matches_oracle_on_random_coverings():
 
 
 def test_branch_and_bound_matches_factorial_search():
-    # C_7 and C_8 force seven and eight non-singleton cliques, past the
-    # exhaustive threshold, so this exercises the pruned search.
+    # C_7 and C_8 force seven and eight non-singleton cliques, whose 7! and
+    # 8! assignments the oracle sweeps in full; the pruned search must agree.
     for n in (7, 8):
         g = cycle_graph(n)
         covering = minimum_total_coverings(g)[0]
@@ -122,6 +122,12 @@ def test_branch_and_bound_matches_factorial_search():
         fast = sigma_of_covering(g, covering)
         slow = brute_force_sigma_of_covering(g, covering)
         assert fast == slow
+
+
+def test_code_of_large_complete_graph_stays_in_budget():
+    # One maximal clique: the covering search must not list the 2^40
+    # cliques of K_40 before it first charges the budget.
+    assert code(complete_graph(40), budget=10_000) == (2,) * 40
 
 
 def test_code_matches_oracle_on_random_graphs():
@@ -138,6 +144,27 @@ def test_code_is_permutation_invariant():
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
         assert code(g) == code(apply_permutation(g, perm))
+
+
+def assert_relabelling_invariant(n: int, p: float, seed: int) -> None:
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert code(g) == code(apply_permutation(g, perm))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 2 ** 30))
+def test_code_is_relabelling_invariant_up_to_10_vertices(n, p, seed):
+    assert_relabelling_invariant(n, p, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(11, 12), st.floats(0.0, 0.5), st.integers(0, 2 ** 30))
+def test_code_is_relabelling_invariant_on_sparse_12_vertices(n, p, seed):
+    # Dense 12-vertex graphs can take seconds each, so they stay out.
+    assert_relabelling_invariant(n, p, seed)
 
 
 def test_code_realizes_back_to_isomorphic_graph():

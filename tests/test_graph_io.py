@@ -11,6 +11,7 @@ from graphcode import (GRAPH6_MAX_VERTICES, complete_graph, cycle_graph, detect_
                        graph_from_edge_list, load_graph, parse_dimacs, parse_edge_list,
                        parse_graph6, parse_graph6_file, path_graph, render_edge_list,
                        render_graph6)
+from graphcode.graph_io import MAX_VERTICES
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,6 +62,18 @@ def test_graph6_header_and_limits():
         parse_graph6("")
     with pytest.raises(ValueError):
         render_graph6(complete_graph(GRAPH6_MAX_VERTICES + 1))
+
+
+def test_text_formats_cap_the_vertex_count():
+    # The header alone is refused; no graph of that size is ever built.
+    with pytest.raises(ValueError, match="limited"):
+        parse_edge_list("1000000000 0")
+    with pytest.raises(ValueError, match="limited"):
+        parse_dimacs("p edge 1000000000 0")
+    assert parse_edge_list(f"{MAX_VERTICES} 0").vertex_count == MAX_VERTICES
+    assert parse_dimacs(f"p edge {MAX_VERTICES} 0").vertex_count == MAX_VERTICES
+    with pytest.raises(ValueError, match="limited"):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0")
 
 
 @given(st.integers(1, 12), st.integers(0, 2 ** 20))
