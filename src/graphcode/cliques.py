@@ -30,15 +30,12 @@ Covering = tuple    # ordered tuple of Cliques
 def maximal_cliques(g: Graph, budget: int | Budget | None = None) -> set[Clique]:
     """All maximal cliques, found by pivoted recursive expansion.
 
-    Isolated vertices appear as singleton cliques.  Vertex sets are local
-    bitmasks, so the graph's cached adjacency sets are not built.  Each
-    expansion charges one budget unit.
+    Isolated vertices appear as singleton cliques.  Vertex sets are
+    bitmasks over the graph's neighbour rows.  Each expansion charges one
+    budget unit.
     """
     tracker = Budget.coerce(budget)
-    neighbors = [0] * g.vertex_count
-    for u, v in g.edges:
-        neighbors[u] |= 1 << v
-        neighbors[v] |= 1 << u
+    neighbors = g.rows
     found: set[Clique] = set()
 
     def expand(include: int, candidates: int, excluded: int) -> None:
@@ -75,16 +72,17 @@ def all_cliques(g: Graph, min_size: int = 1) -> Iterator[Clique]:
     """
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
-    adjacency = g.adjacency
+    rows = g.rows
 
-    def extend(base: tuple[int, ...], candidates: list[int]) -> Iterator[Clique]:
-        for idx, v in enumerate(candidates):
+    def extend(base: tuple[int, ...], candidates: int) -> Iterator[Clique]:
+        for v in _members(candidates):
             grown = base + (v,)
             if len(grown) >= min_size:
                 yield frozenset(grown)
-            yield from extend(grown, [w for w in candidates[idx + 1:] if w in adjacency[v]])
+            candidates ^= 1 << v
+            yield from extend(grown, candidates & rows[v])
 
-    yield from extend((), list(g.vertices()))
+    yield from extend((), (1 << g.vertex_count) - 1)
 
 
 def is_total_clique_covering(g: Graph, cliques: Sequence[Iterable[int]]) -> bool:
@@ -102,7 +100,7 @@ def is_total_clique_covering(g: Graph, cliques: Sequence[Iterable[int]]) -> bool
     covered = set().union(*members) if members else set()
     if covered != set(g.vertices()):
         return False
-    return all(any(u in c and v in c for c in members) for u, v in g.edges)
+    return all(any(u in c and v in c for c in members) for u, v in g.sorted_edges())
 
 
 def canonical_covering(cliques: Iterable[Iterable[int]]) -> Covering:
@@ -346,21 +344,24 @@ def irreducible_minimum_coverings(g: Graph, budget: int | Budget | None = None,
     return _total_coverings(g, Budget.coerce(budget), irreducible=True)
 
 
-def covering_from_sequence(entries: Sequence[int]) -> Covering:
+def covering_from_sequence(entries: Sequence[int],
+                           budget: int | Budget | None = None) -> Covering:
     """The covering a coding sequence induces on its own realization.
 
     One singleton per leading 1, then one clique per distinct prime factor
     of the sequence (ascending), holding the positions that prime divides.
+    Factoring the entries charges the budget one unit per trial divisor.
     """
     from .coding import check_sequence_shape  # local import to avoid a cycle
 
-    check_sequence_shape(entries)
+    tracker = Budget.coerce(budget)
+    check_sequence_shape(entries, tracker)
     ones = sum(1 for x in entries if x == 1)
     cliques: list[Clique] = [frozenset({i}) for i in range(ones)]
     support: list[int] = []
     seen: set[int] = set()
     for x in entries:
-        for p in prime_support(x):
+        for p in prime_support(x, tracker):
             if p not in seen:
                 seen.add(p)
                 support.append(p)

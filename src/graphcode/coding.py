@@ -20,13 +20,15 @@ from .graphs import Graph, LabeledGraph, realize_sequence
 from .primes import first_primes, is_square_free, prime_support
 
 
-def check_sequence_shape(entries: Sequence[int]) -> None:
+def check_sequence_shape(entries: Sequence[int], budget: int | Budget | None = None) -> None:
     """Raise unless entries form a structurally valid coding sequence.
 
     Required: non-empty, non-decreasing, positive, square-free above 1, and
     every entry above 1 shares a prime with some other entry (entries equal
-    to 1, and only those, realize isolated vertices).
+    to 1, and only those, realize isolated vertices).  Factoring the entries
+    charges the budget one unit per trial divisor.
     """
+    tracker = Budget.coerce(budget)
     if not entries:
         raise ValueError("coding sequence must be non-empty")
     previous = 0
@@ -35,15 +37,15 @@ def check_sequence_shape(entries: Sequence[int]) -> None:
             raise ValueError(f"coding sequence entries must be >= 1, got {x}")
         if x < previous:
             raise ValueError("coding sequence must be non-decreasing")
-        if x > 1 and not is_square_free(x):
+        if x > 1 and not is_square_free(x, tracker):
             raise ValueError(f"non-trivial entry {x} is not square-free")
         previous = x
     prime_users: dict[int, int] = {}
     for x in entries:
-        for p in prime_support(x):
+        for p in prime_support(x, tracker):
             prime_users[p] = prime_users.get(p, 0) + 1
     for x in entries:
-        if x > 1 and all(prime_users[p] == 1 for p in prime_support(x)):
+        if x > 1 and all(prime_users[p] == 1 for p in prime_support(x, tracker)):
             raise ValueError(f"entry {x} would realize an isolated vertex; it must be 1")
 
 
@@ -187,13 +189,20 @@ def _min_sequence_branch_and_bound(patterns: list[int], members: list[list[int]]
                                    seed: tuple[int, ...] | None) -> tuple[int, ...]:
     """Assign primes in ascending order, bounding against the incumbent.
 
-    At each node every unfinished vertex label is bounded below by its
-    partial product times the smallest still-unassigned primes, one per
-    unassigned clique; unfinished labels can only grow, so the sorted bound
-    sequence is a componentwise floor for every completion under this node
-    and any branch whose floor is lexicographically >= the incumbent is cut.
-    Every node, greedy descent included, charges 1 + m + k budget units for
-    its m labels and k cliques.
+    An unfinished vertex v with open(v) unassigned cliques ends at least at
+    its floor: its partial product times the next |open(v)| primes.  Labels
+    only grow, so the sorted floors bound every completion below a node,
+    and a node whose floor is lexicographically >= the incumbent is cut.
+    Let mu be the least floor of an unfinished vertex.  Giving that
+    vertex's open cliques the next primes makes its label exactly mu, while
+    every other label stays >= mu, so every optimal completion gives some
+    vertex exactly mu; the only way to do so is to give the open cliques of
+    a vertex whose floor is mu exactly the next primes, since any other
+    choice of as many primes has a larger product.  The search therefore
+    branches on the distinct open-clique masks of the least-floor vertices
+    and then assigns the chosen block's primes one clique at a time.
+    Interchangeable cliques take primes in index order.  Every node
+    charges 1 + m + k budget units for its m labels and k cliques.
     """
     k = len(members)
     m = len(patterns)
@@ -210,60 +219,40 @@ def _min_sequence_branch_and_bound(patterns: list[int], members: list[list[int]]
     leading_ones = (1,) * ones
     incumbent = seed
 
-    def bound_sequence(assigned: int, j: int) -> tuple[int, ...]:
-        values = []
-        for v in range(m):
-            open_bits = patterns[v] & ~assigned
-            if open_bits:
-                values.append(products[v] * suffix[j][open_bits.bit_count()])
-            else:
-                values.append(products[v])
-        return leading_ones + tuple(sorted(values))
-
-    def candidate_order(assigned: int, j: int) -> list[int]:
-        ranked = []
-        for c in range(k):
-            if assigned >> c & 1 or lower_mask[c] & ~assigned:
-                continue
-            finished = sorted(products[v] * primes[j] for v in members[c]
-                              if patterns[v] & ~assigned == 1 << c)
-            ranked.append(((finished[0] if finished else float("inf")),
-                           -len(finished), c))
-        ranked.sort()
-        return [c for _, _, c in ranked]
-
-    def greedy(assigned: int, j: int) -> tuple[int, ...]:
-        tracker.charge(node_cost)
-        if j == k:
-            return bound_sequence(assigned, j)
-        c = candidate_order(assigned, j)[0]
-        for v in members[c]:
-            products[v] *= primes[j]
-        result = greedy(assigned | 1 << c, j + 1)
-        for v in members[c]:
-            products[v] //= primes[j]
-        return result
-
-    def descend(assigned: int, j: int) -> None:
+    def descend(assigned: int, j: int, block: int) -> None:
         nonlocal incumbent
         tracker.charge(node_cost)
-        floor = bound_sequence(assigned, j)
+        values = []
+        least = None
+        blocks = []
+        for v in range(m):
+            open_bits = patterns[v] & ~assigned
+            if not open_bits:
+                values.append(products[v])
+                continue
+            value = products[v] * suffix[j][open_bits.bit_count()]
+            values.append(value)
+            if least is None or value < least:
+                least, blocks = value, [open_bits]
+            elif value == least and open_bits not in blocks:
+                blocks.append(open_bits)
+        floor = leading_ones + tuple(sorted(values))
         if incumbent is not None and floor >= incumbent:
             return
         if j == k:
             incumbent = floor
             return
-        for c in candidate_order(assigned, j):
-            for v in members[c]:
-                products[v] *= primes[j]
-            descend(assigned | 1 << c, j + 1)
-            for v in members[c]:
-                products[v] //= primes[j]
+        for chosen in ([block] if block else blocks):
+            for c in range(k):
+                if not chosen >> c & 1 or lower_mask[c] & ~assigned:
+                    continue
+                for v in members[c]:
+                    products[v] *= primes[j]
+                descend(assigned | 1 << c, j + 1, chosen & ~(1 << c))
+                for v in members[c]:
+                    products[v] //= primes[j]
 
-    greedy_value = greedy(0, 0)
-    if incumbent is None or greedy_value < incumbent:
-        incumbent = greedy_value
-    descend(0, 0)
+    descend(0, 0, 0)
     return incumbent
 
 
@@ -347,13 +336,14 @@ def validate_coding_sequence(entries: Sequence[int], g: Graph,
     """
     from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
 
+    tracker = Budget.coerce(budget)
     try:
-        check_sequence_shape(entries)
+        check_sequence_shape(entries, tracker)
     except ValueError:
         return False
     if len(entries) != g.vertex_count:
         return False
     realized = realize_sequence(entries).graph
     if g.vertex_count <= ORACLE_MAX_VERTICES:
-        return brute_force_isomorphic(realized, g, budget).verdict
-    return code(realized, budget) == code(g, budget)
+        return brute_force_isomorphic(realized, g, tracker).verdict
+    return code(realized, tracker) == code(g, tracker)

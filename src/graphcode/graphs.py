@@ -1,86 +1,135 @@
 """Simple undirected graphs and gcd-based constructions.
 
-Vertices are 0..n-1.  Edges are stored as a frozenset of (u, v) pairs with
-u < v; there are no loops and no multi-edges.  The gcd constructions
-(divisor graphs, sequence realizations) join two vertices exactly when
-their integer labels share a prime factor.
+Vertices are 0..n-1.  A graph stores one neighbour bitmask per vertex:
+bit w of rows[v] is set exactly when v and w are adjacent, so there are no
+loops and no multi-edges.  The gcd constructions (divisor graphs, sequence
+realizations) join two vertices exactly when their integer labels share a
+prime factor.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget
 from .primes import divisors_above_one
 
 
-@dataclass(frozen=True)
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    """An immutable simple graph; equal graphs have equal neighbour rows.
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.vertex_count}")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
+    Graph(n, edges) takes (u, v) pairs with u < v.  Only vertex_count and
+    rows are stored; edges and degrees are derived from rows on access.
+    """
 
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        neighbors: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        return tuple(frozenset(s) for s in neighbors)
+    __slots__ = ("vertex_count", "rows")
+
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
+        if vertex_count < 0:
+            raise ValueError(f"vertex count must be >= 0, got {vertex_count}")
+        rows = [0] * vertex_count
+        for u, v in edges:
+            if not (0 <= u < v < vertex_count):
+                raise ValueError(f"bad edge ({u}, {v}) for {vertex_count} vertices")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def _from_rows(cls, vertex_count: int, rows: tuple[int, ...]) -> "Graph":
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "rows", rows)
+        return g
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("Graph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Graph is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Graph({self.vertex_count}, {self.sorted_edges()!r})"
+
+    def __reduce__(self):
+        return Graph, (self.vertex_count, self.sorted_edges())
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (u, v) pairs with u < v, built on each access."""
+        return frozenset(self.sorted_edges())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def vertices(self) -> range:
         return range(self.vertex_count)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u, row in enumerate(self.rows) for v in _bits(row >> u << u)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        n = self.vertex_count
+        return 0 <= u < n and 0 <= v < n and self.rows[u] >> v & 1 == 1
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.rows[v].bit_count()
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A graph with one positive integer label per vertex."""
-
+class _LabeledGraphFields(NamedTuple):
     graph: Graph
     labels: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.labels) != self.graph.vertex_count:
+
+class LabeledGraph(_LabeledGraphFields):
+    """A graph with one positive integer label per vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, labels: Sequence[int]) -> "LabeledGraph":
+        labels = tuple(labels)
+        if len(labels) != graph.vertex_count:
             raise ValueError("label count does not match vertex count")
-        for x in self.labels:
+        for x in labels:
             if x < 1:
                 raise ValueError(f"labels must be positive, got {x}")
+        return super().__new__(cls, graph, labels)
 
 
 def graph_from_edge_list(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph, normalizing edge orientation and rejecting loops."""
-    normalized = set()
+    """Build a Graph in one pass, accepting either orientation and rejecting loops."""
+    if vertex_count < 0:
+        raise ValueError(f"vertex count must be >= 0, got {vertex_count}")
+    rows = [0] * vertex_count
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop at vertex {u} is not allowed")
-        normalized.add((u, v) if u < v else (v, u))
-    return Graph(vertex_count, frozenset(normalized))
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError(f"bad edge ({min(u, v)}, {max(u, v)}) for {vertex_count} vertices")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._from_rows(vertex_count, tuple(rows))
 
 
 def graph_from_cliques(vertex_count: int, cliques: Iterable[Iterable[int]]) -> Graph:
@@ -124,32 +173,34 @@ def apply_permutation(g: Graph, permutation: Sequence[int]) -> Graph:
     """Relabel g by vertex -> permutation[vertex]."""
     if sorted(permutation) != list(g.vertices()):
         raise ValueError("not a permutation of the vertex set")
-    edges = [(permutation[u], permutation[v]) for u, v in g.edges]
+    edges = [(permutation[u], permutation[v]) for u, v in g.sorted_edges()]
     return graph_from_edge_list(g.vertex_count, edges)
 
 
 def isolated_vertices(g: Graph) -> set[int]:
     """Vertices with no incident edge."""
-    return {v for v in g.vertices() if not g.adjacency[v]}
+    return {v for v, row in enumerate(g.rows) if not row}
+
+
+def _reach(g: Graph, mask: int) -> int:
+    """The neighbours of the vertices in mask, as a bitmask."""
+    out = 0
+    for v in _bits(mask):
+        out |= g.rows[v]
+    return out
 
 
 def connected_components(g: Graph) -> list[set[int]]:
     """Vertex sets of the connected components, ordered by smallest member."""
-    seen: set[int] = set()
+    remaining = (1 << g.vertex_count) - 1
     components = []
-    for start in g.vertices():
-        if start in seen:
-            continue
-        stack, component = [start], {start}
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if w not in component:
-                    component.add(w)
-                    seen.add(w)
-                    stack.append(w)
-        components.append(component)
+    while remaining:
+        component = frontier = remaining & -remaining
+        while frontier:
+            frontier = _reach(g, frontier) & ~component
+            component |= frontier
+        remaining &= ~component
+        components.append(set(_bits(component)))
     return components
 
 
@@ -159,22 +210,24 @@ def is_connected(g: Graph) -> bool:
 
 
 def two_coloring(g: Graph) -> list[int] | None:
-    """A proper 2-coloring as a list of 0/1, or None if none exists."""
-    color: list[int | None] = [None] * g.vertex_count
-    for start in g.vertices():
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if color[w] is None:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return [c for c in color if c is not None]
+    """A proper 2-coloring as a list of 0/1, or None if none exists.
+
+    Breadth-first layers from each component's least vertex alternate
+    colours; an edge inside a layer is an odd cycle.
+    """
+    sides = [0, 0]
+    remaining = (1 << g.vertex_count) - 1
+    while remaining:
+        layer, color = remaining & -remaining, 0
+        while layer:
+            sides[color] |= layer
+            remaining &= ~layer
+            reach = _reach(g, layer)
+            if reach & layer:
+                return None
+            layer = reach & remaining
+            color ^= 1
+    return [sides[1] >> v & 1 for v in g.vertices()]
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -186,7 +239,7 @@ def independence_number(g: Graph, budget: int | Budget | None = None) -> int:
     """Exact size of a maximum independent set."""
     tracker = Budget.coerce(budget)
     order = sorted(g.vertices(), key=g.degree, reverse=True)
-    adjacency = g.adjacency
+    rows = g.rows
 
     def best(candidates: list[int], current: int, record: int) -> int:
         tracker.charge()
@@ -195,7 +248,7 @@ def independence_number(g: Graph, budget: int | Budget | None = None) -> int:
         if not candidates:
             return max(record, current)
         v, rest = candidates[0], candidates[1:]
-        record = best([w for w in rest if w not in adjacency[v]], current + 1, record)
+        record = best([w for w in rest if not rows[v] >> w & 1], current + 1, record)
         return best(rest, current, record)
 
     return best(order, 0, 0)
@@ -222,7 +275,7 @@ def cycle_graph(n: int) -> Graph:
 def empty_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"empty graph needs n >= 1, got {n}")
-    return Graph(n, frozenset())
+    return Graph(n, ())
 
 
 FAMILIES = {

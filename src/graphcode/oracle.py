@@ -9,10 +9,9 @@ about 9 vertices (7 for covering-based routines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .budget import Budget
 from .graphs import Graph, graph_from_edge_list
@@ -22,8 +21,7 @@ ORACLE_MAX_VERTICES = 9
 ORACLE_COVER_MAX_VERTICES = 7
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     verdict: bool
     witness: tuple[int, ...] | None
     nodes_searched: int
@@ -97,7 +95,7 @@ def _is_covering(g: Graph, cliques: tuple[frozenset[int], ...]) -> bool:
     covered_vertices = set().union(*cliques) if cliques else set()
     if covered_vertices != set(g.vertices()):
         return False
-    return all(any(u in c and v in c for c in cliques) for u, v in g.edges)
+    return all(any(u in c and v in c for c in cliques) for u, v in g.sorted_edges())
 
 
 def brute_force_minimum_coverings(g: Graph, budget: int | Budget | None = None,

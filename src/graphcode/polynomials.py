@@ -127,23 +127,29 @@ def poly_from_covering(g: Graph, covering: Sequence[Iterable[int]]) -> GraphPoly
     return GraphPolynomial(items)
 
 
-def poly_from_sequence(entries: Sequence[int]) -> GraphPolynomial:
-    """Replace the i-th smallest prime of the sequence by x_i and commas by +."""
-    check_sequence_shape(entries)
+def poly_from_sequence(entries: Sequence[int],
+                       budget: int | Budget | None = None) -> GraphPolynomial:
+    """Replace the i-th smallest prime of the sequence by x_i and commas by +.
+
+    Factoring the entries charges the budget one unit per trial divisor.
+    """
+    tracker = Budget.coerce(budget)
+    check_sequence_shape(entries, tracker)
     support: set[int] = set()
     for x in entries:
-        support.update(prime_support(x))
+        support.update(prime_support(x, tracker))
     index = {p: i + 1 for i, p in enumerate(sorted(support))}
     items: dict[Monomial, int] = {}
     for x in entries:
-        monomial = tuple(index[p] for p in prime_support(x))
+        monomial = tuple(index[p] for p in prime_support(x, tracker))
         items[monomial] = items.get(monomial, 0) + 1
     return GraphPolynomial(items)
 
 
 def canonical_polynomial(g: Graph, budget: int | Budget | None = None) -> GraphPolynomial:
     """The polynomial of the canonical code."""
-    return poly_from_sequence(code(g, budget))
+    tracker = Budget.coerce(budget)
+    return poly_from_sequence(code(g, tracker), tracker)
 
 
 def divisor_graph_polynomial_closed_form(n: int) -> GraphPolynomial:

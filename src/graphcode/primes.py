@@ -7,7 +7,7 @@ around k = 15, which is why no fixed-width arithmetic is used anywhere.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from .budget import Budget
 
 _PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
 
@@ -36,34 +36,52 @@ def first_primes(k: int) -> tuple[int, ...]:
     return tuple(_PRIMES[:k])
 
 
-@lru_cache(maxsize=4096)
-def factorize(x: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of x >= 1 as ((prime, exponent), ...) ascending."""
+# Completed factorizations, oldest first; a bounded memo, not an LRU.
+_FACTORIZATIONS: dict[int, tuple[tuple[int, int], ...]] = {}
+_FACTORIZATIONS_MAX = 4096
+
+
+def factorize(x: int, budget: int | Budget | None = None) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of x >= 1 as ((prime, exponent), ...) ascending.
+
+    Trial division charges one budget unit per divisor tried, so an entry
+    with two large prime factors raises BudgetExceededError instead of
+    running for minutes.  Only completed factorizations are remembered.
+    """
     if x < 1:
         raise ValueError(f"cannot factorize {x}")
+    known = _FACTORIZATIONS.get(x)
+    if known is not None:
+        return known
+    tracker = Budget.coerce(budget)
     factors = []
+    rest = x
     d = 2
-    while d * d <= x:
-        if x % d == 0:
+    while d * d <= rest:
+        tracker.charge()
+        if rest % d == 0:
             e = 0
-            while x % d == 0:
-                x //= d
+            while rest % d == 0:
+                rest //= d
                 e += 1
             factors.append((d, e))
         d += 1 if d == 2 else 2
-    if x > 1:
-        factors.append((x, 1))
-    return tuple(factors)
+    if rest > 1:
+        factors.append((rest, 1))
+    if len(_FACTORIZATIONS) >= _FACTORIZATIONS_MAX:
+        del _FACTORIZATIONS[next(iter(_FACTORIZATIONS))]
+    result = _FACTORIZATIONS[x] = tuple(factors)
+    return result
 
 
-def prime_support(x: int) -> tuple[int, ...]:
+def prime_support(x: int, budget: int | Budget | None = None) -> tuple[int, ...]:
     """Distinct prime divisors of x >= 1, ascending."""
-    return tuple(p for p, _ in factorize(x))
+    return tuple(p for p, _ in factorize(x, budget))
 
 
-def is_square_free(x: int) -> bool:
+def is_square_free(x: int, budget: int | Budget | None = None) -> bool:
     """True iff no prime divides x more than once."""
-    return all(e == 1 for _, e in factorize(x))
+    return all(e == 1 for _, e in factorize(x, budget))
 
 
 def divisors_above_one(n: int) -> list[int]:

@@ -8,7 +8,7 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import Budget
 from .cliques import (canonical_covering, covering_from_sequence,
@@ -23,8 +23,7 @@ from .polynomials import (canonical_polynomial, detect_bipartite_poly,
 from .primes import factorize, first_primes, prime_support
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -56,7 +55,7 @@ def theta_lambda_consistency(g: Graph, budget: int | Budget | None = None) -> bo
     """theta_t equals the prime count of lambda(code) plus the isolated count."""
     tracker = Budget.coerce(budget)
     sigma = code(g, tracker)
-    k = len(prime_support(lambda_of(sigma))) if lambda_of(sigma) > 1 else 0
+    k = len(prime_support(lambda_of(sigma), tracker)) if lambda_of(sigma) > 1 else 0
     return theta_t(g, tracker) == k + len(isolated_vertices(g))
 
 
@@ -100,7 +99,7 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     results.append(CheckResult("every clique in a minimum covering is essential", ok))
 
     sigma = code(g, tracker)
-    k = len(prime_support(lambda_of(sigma))) if lambda_of(sigma) > 1 else 0
+    k = len(prime_support(lambda_of(sigma), tracker)) if lambda_of(sigma) > 1 else 0
     ok = theta == k + len(isolated)
     results.append(CheckResult("theta_t = primes(lambda(code)) + isolated count", ok,
                                f"code={sigma}"))

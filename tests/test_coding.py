@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphcode import (Budget, BudgetExceededError, apply_permutation, brute_force_code,
                        brute_force_isomorphic, brute_force_sigma_of_covering,
@@ -40,6 +41,23 @@ def test_shape_rejects_invalid_sequences():
     for entries, fragment in cases.items():
         with pytest.raises(ValueError, match=fragment):
             check_sequence_shape(entries)
+
+
+def test_shape_check_of_hard_entry_stays_in_budget():
+    # Trial division of 2 * (10^9 + 7) * (10^9 + 9) would try divisors up to
+    # 10^9; every caller-facing check bounds it by the budget instead.
+    from graphcode import covering_from_sequence, poly_from_sequence
+
+    x = 2 * (10 ** 9 + 7) * (10 ** 9 + 9)
+    checks = [lambda b: check_sequence_shape((x, x), budget=b),
+              lambda b: covering_from_sequence((x, x), budget=b),
+              lambda b: poly_from_sequence((x, x), budget=b),
+              lambda b: validate_coding_sequence((x, x), path_graph(2), budget=b)]
+    for check in checks:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            check(10 ** 5)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_lambda_of_values():
@@ -110,6 +128,25 @@ def test_sigma_matches_oracle_on_random_coverings():
         g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.9))
         covering = random_total_covering(rng, g)
         assert sigma_of_covering(g, covering) == brute_force_sigma_of_covering(g, covering)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.floats(0.1, 0.9), st.integers(0, 2 ** 30))
+def test_label_search_matches_factorial_search_on_random_coverings(n, p, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    covering = random_total_covering(rng, g)
+    assume(sum(1 for c in covering if len(c) > 1) <= 8)
+    assert sigma_of_covering(g, covering) == brute_force_sigma_of_covering(g, covering)
+
+
+def test_sparse_graph_label_search_stays_in_budget():
+    # A sparse 12-vertex graph whose labelling took over 5 * 10^5 units when
+    # the search branched every prime over every unassigned clique; branching
+    # on the least-floor vertex's cliques decides it in about 6,000.
+    g = random_graph(random.Random(8), 12, 0.3)
+    assert code(g, budget=Budget(10 ** 5)) == (6, 35, 110, 286, 646, 2001, 19499, 54653,
+                                               125255, 496133, 941227, 1527923)
 
 
 def test_branch_and_bound_matches_factorial_search():

@@ -39,7 +39,43 @@ def test_loops_and_bad_vertices_rejected():
     with pytest.raises(ValueError):
         Graph(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
+        Graph(2, {(0, 2)})
+    with pytest.raises(ValueError):
+        Graph(3, [(1, 0)])
+    with pytest.raises(ValueError):
         Graph(-1, frozenset())
+    with pytest.raises(ValueError):
+        Graph(-1, ())
+    with pytest.raises(ValueError):
+        graph_from_edge_list(3, [(0, 3)])
+
+
+def test_graph_equality_ignores_edge_order_and_orientation():
+    edges = [(0, 1), (1, 2), (0, 3), (2, 3)]
+    g = Graph(4, edges)
+    h = graph_from_edge_list(4, [(v, u) for u, v in reversed(edges)])
+    assert g == h and hash(g) == hash(h)
+    assert g.rows == h.rows == (0b1010, 0b0101, 0b1010, 0b0101)
+    assert g != graph_from_edge_list(4, edges[:3])
+    assert g != Graph(5, edges)
+
+
+@given(graphs(max_vertices=8))
+def test_edges_round_trip_and_are_symmetric(g):
+    assert graph_from_edge_list(g.vertex_count, g.edges) == g
+    assert sorted(g.edges) == g.sorted_edges()
+    assert g.edge_count == len(g.edges)
+    for u in g.vertices():
+        assert g.degree(u) == sum(1 for e in g.edges if u in e)
+        for v in g.vertices():
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((min(u, v), max(u, v)) in g.edges)
+
+
+def test_graph_stores_rows_only():
+    g = complete_graph(3)
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(AttributeError):
+        g.rows = ()
 
 
 def test_divisor_graph_of_12():

@@ -37,6 +37,25 @@ def test_factorize_reconstructs(x):
     assert product == x
 
 
+def test_factorize_charges_one_unit_per_trial_divisor():
+    # 1009 * 1013 tries 2 and the 504 odd numbers from 3 to 1009, after
+    # which 1011 * 1011 exceeds the cofactor 1013.
+    tracker = Budget(1_000)
+    assert factorize(1009 * 1013, tracker) == ((1009, 1), (1013, 1))
+    assert tracker.used == 505
+    assert factorize(1009 * 1013, tracker) == ((1009, 1), (1013, 1))
+    assert tracker.used == 505  # completed factorizations are remembered
+
+
+def test_unfinished_factorization_is_not_remembered():
+    x = 1_000_003 * 1_000_033
+    with pytest.raises(BudgetExceededError):
+        factorize(x, Budget(1_000))
+    tracker = Budget(10 ** 6)
+    assert factorize(x, tracker) == ((1_000_003, 1), (1_000_033, 1))
+    assert tracker.used > 1_000
+
+
 def test_prime_support_and_square_free():
     assert prime_support(1) == ()
     assert prime_support(30) == (2, 3, 5)
