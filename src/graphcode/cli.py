@@ -16,7 +16,7 @@ from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
 from .cliques import covering_to_text, minimum_total_coverings, theta_t
 from .coding import code, parse_sequence, render_sequence
 from .graph_io import load_graph, render_edge_list
-from .graphs import Graph, divisor_graph, generate_family, realize_sequence
+from .graphs import divisor_graph, generate_family, realize_sequence
 from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
 from .polynomials import (canonical_polynomial, closed_form_family,
                           divisor_graph_polynomial_closed_form)
@@ -44,26 +44,22 @@ def _emit(args: argparse.Namespace, data: dict, human: list[str]) -> None:
         print("\n".join(human))
 
 
-def _load(args: argparse.Namespace, path: str) -> Graph:
-    return load_graph(path, args.format)
-
-
 def _cmd_code(args) -> int:
-    g = _load(args, args.graph)
+    g = load_graph(args.graph, args.format)
     sigma = code(g, _budget_from(args))
     _emit(args, {"code": list(sigma)}, [render_sequence(sigma)])
     return 0
 
 
 def _cmd_poly(args) -> int:
-    g = _load(args, args.graph)
+    g = load_graph(args.graph, args.format)
     polynomial = canonical_polynomial(g, _budget_from(args))
     _emit(args, {"polynomial": polynomial.render()}, [polynomial.render()])
     return 0
 
 
 def _cmd_theta(args) -> int:
-    g = _load(args, args.graph)
+    g = load_graph(args.graph, args.format)
     tracker = _budget_from(args)
     coverings = minimum_total_coverings(g, tracker)
     data = {"theta_t": len(coverings[0]), "minimum_covering_count": len(coverings)}
@@ -73,7 +69,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_covers(args) -> int:
-    g = _load(args, args.graph)
+    g = load_graph(args.graph, args.format)
     coverings = minimum_total_coverings(g, _budget_from(args))
     data = {"theta_t": len(coverings[0]),
             "coverings": [[sorted(c) for c in cov] for cov in coverings]}
@@ -86,10 +82,9 @@ def _cmd_covers(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    g1 = _load(args, args.graph1)
-    g2 = _load(args, args.graph2)
+    g1 = load_graph(args.graph1, args.format)
+    g2 = load_graph(args.graph2, args.format)
     tracker = _budget_from(args)
-    verdict = False
     code1 = code(g1, tracker)
     code2 = code(g2, tracker) if g1.vertex_count == g2.vertex_count else None
     verdict = code2 is not None and code1 == code2
@@ -114,7 +109,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_divisor(args) -> int:
-    labeled = divisor_graph(args.n)
+    tracker = _budget_from(args)
+    labeled = divisor_graph(args.n, tracker)
     g = labeled.graph
     data = {"n": args.n, "vertices": g.vertex_count,
             "labels": list(labeled.labels),
@@ -122,13 +118,12 @@ def _cmd_divisor(args) -> int:
     human = [f"divisor graph of {args.n}: {g.vertex_count} vertices, {g.edge_count} edges",
              "labels: " + " ".join(str(d) for d in labeled.labels),
              render_edge_list(g).rstrip("\n")]
-    closed = divisor_graph_polynomial_closed_form(args.n)
+    closed = divisor_graph_polynomial_closed_form(args.n, tracker)
     if args.closed_form:
         data["polynomial"] = closed.render()
         data["method"] = "closed-form"
         human.append(f"F (closed form): {closed.render()}")
     else:
-        tracker = _budget_from(args)
         theta = theta_t(g, tracker)
         pipeline = canonical_polynomial(g, tracker)
         agrees = pipeline == closed
@@ -171,7 +166,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load(args, args.graph)
+    g = load_graph(args.graph, args.format)
     results = run_invariant_suite(g, _budget_from(args))
     data = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in results],

@@ -121,9 +121,10 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     is found twice.  A node is cut when some uncovered edge has no allowed
     candidate, or when more uncovered edges than the remaining depth pairwise
     share no allowed candidate (each of them needs a clique of its own).
-    Every node charges 1 plus the uncovered edges it scans.  Returns every
-    least covering when find_all is set and one witness otherwise; an
-    edgeless graph has the single empty covering.
+    Indexing charges one unit per (clique, edge) pair, and every node 1
+    plus the uncovered edges it scans.  Returns every least covering when
+    find_all is set and one witness otherwise; an edgeless graph has the
+    single empty covering.
     """
     if g.vertex_count == 0:
         raise ValueError("coverings need at least one vertex")
@@ -133,6 +134,7 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     edges = g.sorted_edges()
     if not edges:
         return singletons, [()]
+    tracker.charge(sum(len(c) * (len(c) - 1) // 2 for c in cliques))
     # Edge bits run from the fewest candidate cliques to the most, so the
     # greedy packing below meets the most constrained edges first.
     candidates: dict[tuple[int, int], int] = {e: 0 for e in edges}

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget
-from .primes import divisors_above_one
+from .primes import divisors_above_one, factorize
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -133,12 +133,22 @@ def graph_from_edge_list(vertex_count: int, edges: Iterable[tuple[int, int]]) ->
 
 
 def graph_from_cliques(vertex_count: int, cliques: Iterable[Iterable[int]]) -> Graph:
-    """The graph whose edge set is the union of the given cliques."""
-    edges = set()
+    """The graph whose edge set is the union of the given cliques.
+
+    Each clique's vertex mask is OR-ed into its members' rows, so the work
+    grows with the total clique size, not with the number of pairs.
+    """
+    if vertex_count < 0:
+        raise ValueError(f"vertex count must be >= 0, got {vertex_count}")
+    rows = [0] * vertex_count
     for clique in cliques:
-        members = sorted(set(clique))
-        edges.update(combinations(members, 2))
-    return graph_from_edge_list(vertex_count, edges)
+        members = set(clique)
+        if not all(0 <= v < vertex_count for v in members):
+            raise ValueError(f"bad clique {sorted(members)} for {vertex_count} vertices")
+        mask = sum(1 << v for v in members)
+        for v in members:
+            rows[v] |= mask
+    return Graph._from_rows(vertex_count, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
 
 
 def realize_sequence(entries: Sequence[int]) -> LabeledGraph:
@@ -158,15 +168,19 @@ def realize_sequence(entries: Sequence[int]) -> LabeledGraph:
     return LabeledGraph(graph_from_edge_list(n, edges), labels)
 
 
-def divisor_graph(n: int) -> LabeledGraph:
+def divisor_graph(n: int, budget: int | Budget | None = None) -> LabeledGraph:
     """Graph on the divisors of n greater than 1, joined by gcd > 1.
 
     Vertex i carries the (i+1)-th smallest such divisor as its label, so a
-    prime n yields a single isolated vertex.
+    prime n yields a single isolated vertex.  Listing the divisors charges
+    the budget, and so does each divisor pair tested, before any is built.
     """
     if n < 2:
         raise ValueError(f"divisor graph needs n >= 2, got {n}")
-    return realize_sequence(divisors_above_one(n))
+    tracker = Budget.coerce(budget)
+    d = prod(e + 1 for _, e in factorize(n, tracker)) - 1
+    tracker.charge(d * (d - 1) // 2)
+    return realize_sequence(divisors_above_one(n, tracker))
 
 
 def apply_permutation(g: Graph, permutation: Sequence[int]) -> Graph:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .budget import Budget
 from .cliques import is_total_clique_covering
 from .coding import check_sequence_shape, code
-from .graphs import Graph
+from .graphs import Graph, connected_components, graph_from_cliques, is_bipartite
 from .primes import factorize, prime_support
 
 Monomial = tuple  # strictly ascending 1-based variable indices; () is constant
@@ -152,19 +152,24 @@ def canonical_polynomial(g: Graph, budget: int | Budget | None = None) -> GraphP
     return poly_from_sequence(code(g, tracker), tracker)
 
 
-def divisor_graph_polynomial_closed_form(n: int) -> GraphPolynomial:
+def divisor_graph_polynomial_closed_form(n: int, budget: int | Budget | None = None,
+                                         ) -> GraphPolynomial:
     """Canonical polynomial of the divisor graph of n, by the closed form.
 
     With the exponents of n sorted descending as r_1 >= ... >= r_k, the
     polynomial is the sum over nonempty index subsets of
     (r_i1 * ... * r_is) x_i1 ... x_is; a prime n gives the constant 1.
+    Factoring n charges the budget one unit per trial divisor, and the
+    2^k - 1 terms one unit each.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    exponents = sorted((e for _, e in factorize(n)), reverse=True)
+    tracker = Budget.coerce(budget)
+    exponents = sorted((e for _, e in factorize(n, tracker)), reverse=True)
     if len(exponents) == 1 and exponents[0] == 1:
         return GraphPolynomial({(): 1})
     k = len(exponents)
+    tracker.charge(2 ** k - 1)
     items = {}
     for size in range(1, k + 1):
         for subset in combinations(range(1, k + 1), size):
@@ -205,20 +210,14 @@ def closed_form_family(family: str, n: int) -> tuple[tuple[int, ...], GraphPolyn
     raise ValueError(f"no closed form for family {family!r}")
 
 
-def _variable_components(p: GraphPolynomial) -> int:
-    variables = sorted({i for m in p.terms for i in m})
-    parent = {v: v for v in variables}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for monomial in p.terms:
-        for i in monomial[1:]:
-            parent[find(i)] = find(monomial[0])
-    return len({find(v) for v in variables})
+def _copy_graph(p: GraphPolynomial) -> Graph:
+    """One vertex per monomial copy; the copies holding a variable form a clique."""
+    copies = p.monomial_copies()
+    holders: dict[int, list[int]] = {}
+    for i, monomial in enumerate(copies):
+        for x in monomial:
+            holders.setdefault(x, []).append(i)
+    return graph_from_cliques(len(copies), holders.values())
 
 
 def detect_disconnected_poly(p: GraphPolynomial) -> bool:
@@ -229,7 +228,7 @@ def detect_disconnected_poly(p: GraphPolynomial) -> bool:
     """
     if p.total_mass == 0:
         raise ValueError("polynomial has no monomials")
-    return _variable_components(p) + p.constant_term >= 2
+    return len(connected_components(_copy_graph(p))) >= 2
 
 
 def detect_bipartite_poly(p: GraphPolynomial) -> bool:
@@ -241,21 +240,4 @@ def detect_bipartite_poly(p: GraphPolynomial) -> bool:
     """
     if p.total_mass == 0:
         raise ValueError("polynomial has no monomials")
-    copies = [frozenset(m) for m in p.monomial_copies()]
-    color: list[int | None] = [None] * len(copies)
-    adjacency = [[j for j in range(len(copies))
-                  if j != i and copies[i] & copies[j]] for i in range(len(copies))]
-    for start in range(len(copies)):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in adjacency[i]:
-                if color[j] is None:
-                    color[j] = 1 - color[i]
-                    stack.append(j)
-                elif color[j] == color[i]:
-                    return False
-    return True
+    return is_bipartite(_copy_graph(p))

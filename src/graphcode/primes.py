@@ -7,6 +7,8 @@ around k = 15, which is why no fixed-width arithmetic is used anywhere.
 
 from __future__ import annotations
 
+from math import prod
+
 from .budget import Budget
 
 _PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
@@ -84,16 +86,16 @@ def is_square_free(x: int, budget: int | Budget | None = None) -> bool:
     return all(e == 1 for _, e in factorize(x, budget))
 
 
-def divisors_above_one(n: int) -> list[int]:
-    """Divisors of n that exceed 1, ascending."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small[1:] + large[::-1]
+def divisors_above_one(n: int, budget: int | Budget | None = None) -> list[int]:
+    """Divisors of n that exceed 1, ascending.
+
+    They are the products of the prime powers of n's factorization, which
+    charges the budget; listing them charges one more unit per divisor.
+    """
+    tracker = Budget.coerce(budget)
+    factors = factorize(n, tracker)
+    tracker.charge(prod(e + 1 for _, e in factors))
+    divisors = [1]
+    for p, e in factors:
+        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
+    return sorted(divisors)[1:]

@@ -3,7 +3,9 @@
 These checks re-derive the same facts along independent routes (covering
 search vs. number theory, code vs. brute force, polynomial structure vs.
 graph traversal) and are used by the command-line verify subcommand and
-the test suite.
+the test suite.  The polynomial detectors traverse the graph on a
+polynomial's monomial copies through the graphs module, so the structure
+they read off is checked against the graph itself.
 """
 
 from __future__ import annotations
@@ -11,15 +13,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .budget import Budget
-from .cliques import (canonical_covering, covering_from_sequence,
-                      is_total_clique_covering, maximal_cliques,
+from .cliques import (covering_from_sequence, is_total_clique_covering,
                       minimum_total_coverings, theta_t)
 from .coding import code, coding_sequence_from_covering, lambda_of
 from .graphs import Graph, divisor_graph, is_bipartite, is_connected, isolated_vertices, realize_sequence
 from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
 from .polynomials import (canonical_polynomial, detect_bipartite_poly,
                           detect_disconnected_poly, divisor_graph_polynomial_closed_form,
-                          poly_from_covering)
+                          poly_from_covering, poly_from_sequence)
 from .primes import factorize, first_primes, prime_support
 
 
@@ -66,9 +67,9 @@ def theta_divisor_graph_check(n: int, budget: int | Budget | None = None) -> boo
     of n: the divisors p divides.  A prime n gives a single isolated vertex.
     """
     tracker = Budget.coerce(budget)
-    labeled = divisor_graph(n)
+    labeled = divisor_graph(n, tracker)
     coverings = minimum_total_coverings(labeled.graph, tracker)
-    primes_of_n = [p for p, _ in factorize(n)]
+    primes_of_n = [p for p, _ in factorize(n, tracker)]
     if len(coverings) != 1 or len(coverings[0]) != len(primes_of_n):
         return False
     expected = {frozenset(i for i, d in enumerate(labeled.labels) if d % p == 0)
@@ -82,7 +83,7 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     results: list[CheckResult] = []
 
     coverings = minimum_total_coverings(g, tracker)
-    theta = theta_t(g, tracker)
+    theta = len(coverings[0])
     isolated = isolated_vertices(g)
 
     ok = all(is_total_clique_covering(g, c) and len(c) == theta for c in coverings)
@@ -116,13 +117,12 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
         results.append(CheckResult("realizing the code reproduces the graph", True,
                                    "skipped: beyond oracle size"))
 
-    polynomial = canonical_polynomial(g, tracker)
+    polynomial = poly_from_sequence(sigma, tracker)
     ok = polynomial.total_mass == g.vertex_count and polynomial.constant_term == len(isolated)
     results.append(CheckResult("polynomial mass and constant term", ok,
                                f"F={polynomial.render()}"))
 
-    covering = canonical_covering(maximal_cliques(g))
-    f_poly = poly_from_covering(g, covering)
+    f_poly = poly_from_covering(g, coverings[0])
     ok = (detect_disconnected_poly(polynomial) == (not is_connected(g))
           and detect_disconnected_poly(f_poly) == (not is_connected(g)))
     results.append(CheckResult("disconnection is readable off the polynomials", ok))
@@ -137,5 +137,5 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
 def check_divisor_graph_polynomial(n: int, budget: int | Budget | None = None) -> bool:
     """Full pipeline on G(n) agrees with the closed-form polynomial."""
     tracker = Budget.coerce(budget)
-    pipeline = canonical_polynomial(divisor_graph(n).graph, tracker)
-    return pipeline == divisor_graph_polynomial_closed_form(n)
+    pipeline = canonical_polynomial(divisor_graph(n, tracker).graph, tracker)
+    return pipeline == divisor_graph_polynomial_closed_form(n, tracker)

@@ -154,6 +154,54 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+VERIFY_EXAMPLE_TEXT = """\
+ok   minimum coverings are valid and sized theta_t  [theta_t=5, coverings=1]
+ok   singletons in minimum coverings are the isolated vertices
+ok   every clique in a minimum covering is essential
+ok   theta_t = primes(lambda(code)) + isolated count  [code=(2, 2, 3, 3, 5, 7, 10, 10, 10, 11, 231)]
+ok   covering -> sequence -> covering round trip
+ok   realizing the code reproduces the graph  [skipped: beyond oracle size]
+ok   polynomial mass and constant term  [F=2*x1 + 2*x2 + x3 + x4 + x5 + 3*x1*x3 + x2*x4*x5]
+ok   disconnection is readable off the polynomials
+ok   bipartiteness is readable off the polynomials
+all checks passed
+"""
+
+
+def test_verify_golden_text(capsys):
+    status, out, _ = run_cli(capsys, "verify", EXAMPLE)
+    assert status == 0
+    assert out == VERIFY_EXAMPLE_TEXT
+
+
+VERIFY_EXAMPLE_JSON = (
+    '{"all_passed": true, "checks": ['
+    '{"detail": "theta_t=5, coverings=1", '
+    '"name": "minimum coverings are valid and sized theta_t", "passed": true}, '
+    '{"detail": "", '
+    '"name": "singletons in minimum coverings are the isolated vertices", "passed": true}, '
+    '{"detail": "", '
+    '"name": "every clique in a minimum covering is essential", "passed": true}, '
+    '{"detail": "code=(2, 2, 3, 3, 5, 7, 10, 10, 10, 11, 231)", '
+    '"name": "theta_t = primes(lambda(code)) + isolated count", "passed": true}, '
+    '{"detail": "", '
+    '"name": "covering -> sequence -> covering round trip", "passed": true}, '
+    '{"detail": "skipped: beyond oracle size", '
+    '"name": "realizing the code reproduces the graph", "passed": true}, '
+    '{"detail": "F=2*x1 + 2*x2 + x3 + x4 + x5 + 3*x1*x3 + x2*x4*x5", '
+    '"name": "polynomial mass and constant term", "passed": true}, '
+    '{"detail": "", '
+    '"name": "disconnection is readable off the polynomials", "passed": true}, '
+    '{"detail": "", '
+    '"name": "bipartiteness is readable off the polynomials", "passed": true}]}\n')
+
+
+def test_verify_golden_json(capsys):
+    status, out, _ = run_cli(capsys, "verify", "--json", EXAMPLE)
+    assert status == 0
+    assert out == VERIFY_EXAMPLE_JSON
+
+
 def test_budget_flag_exceeded(capsys):
     status, _, err = run_cli(capsys, "code", "--budget", "10", EXAMPLE)
     assert status == 2
@@ -225,13 +273,18 @@ def console_scripts() -> dict[str, str]:
         return tomllib.load(f)["project"]["scripts"]
 
 
-def run_console_script(entry: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run `entry` ("module:function") as the launcher pip installs would."""
+def run_console_script(entry: str, *argv: str,
+                       timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run `entry` ("module:function") as the launcher pip installs would.
+
+    With a timeout, a run that hangs fails the test instead of the suite.
+    """
     module, attr = entry.split(":")
     wrapper = (f"import sys\nfrom {module} import {attr}\n"
                f"sys.argv[0] = 'graphcode'\nsys.exit({attr}())")
     return subprocess.run([sys.executable, "-c", wrapper, *argv],
-                          capture_output=True, text=True, env=checkout_env())
+                          capture_output=True, text=True, env=checkout_env(),
+                          timeout=timeout)
 
 
 def test_installed_entry_point():
@@ -258,3 +311,18 @@ def test_console_script(tmp_path):
     result = run_console_script(entry, "theta", "--budget", "1", EXAMPLE)
     assert result.returncode == 2
     assert "error" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # two prime factors near 10^9: factoring trial-divides up to 10^9
+    ("divisor", "1000000016000000063", "--budget", "100000"),
+    ("divisor", "1000000016000000063", "--budget", "100000", "--closed-form"),
+    # 6,720 divisors: about 2.3 * 10^7 divisor pairs to test
+    ("divisor", "963761198400"),
+    # 2,646 maximal cliques holding 3.1 * 10^7 (clique, edge) pairs to index
+    ("divisor", "720720"),
+])
+def test_hard_divisor_inputs_exhaust_the_budget_quickly(argv):
+    result = run_console_script("graphcode.cli:main", *argv, timeout=30)
+    assert result.returncode == 2
+    assert "node budget" in result.stderr

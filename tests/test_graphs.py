@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from graphcode import (Graph, apply_permutation, complete_graph, connected_components,
                        cycle_graph, divisor_graph, empty_graph, generate_family,
-                       graph_from_edge_list, independence_number, is_bipartite,
+                       graph_from_cliques, graph_from_edge_list, independence_number, is_bipartite,
                        is_connected, isolated_vertices, path_graph, realize_sequence,
                        two_coloring)
 
@@ -195,3 +195,20 @@ def test_independence_is_lower_bound_for_theta():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.9))
         assert theta_t(g) >= independence_number(g)
+
+
+def test_graph_from_cliques_matches_the_pairwise_construction():
+    rng = random.Random(83)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        cliques = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 5))]
+        pairs = {pair for c in cliques for pair in combinations(sorted(c), 2)}
+        assert graph_from_cliques(n, cliques) == graph_from_edge_list(n, pairs)
+
+
+def test_graph_from_cliques_rejects_bad_vertices():
+    for bad in ([0, 3], [-1, 0], [3]):
+        with pytest.raises(ValueError):
+            graph_from_cliques(3, [bad])
+    with pytest.raises(ValueError):
+        graph_from_cliques(-1, [])

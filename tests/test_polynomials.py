@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,3 +198,11 @@ def test_mass_and_constant_track_vertices():
 def test_monomial_copies_expand_coefficients():
     p = GraphPolynomial({(1,): 2, (1, 2): 1, (): 1})
     assert p.monomial_copies() == [(), (1,), (1,), (1, 2)]
+
+
+def test_detectors_scale_with_copies_not_pairs():
+    p = GraphPolynomial({(1,): 3000, (2,): 3000})
+    start = time.perf_counter()
+    assert detect_disconnected_poly(p)
+    assert not detect_bipartite_poly(p)
+    assert time.perf_counter() - start < 1.0

@@ -72,6 +72,16 @@ def test_divisors_above_one():
         divisors_above_one(0)
 
 
+def test_divisors_above_one_match_trial_division():
+    for n in range(1, 2000):
+        assert divisors_above_one(n) == [d for d in range(2, n + 1) if n % d == 0]
+
+
+def test_divisors_above_one_charges_the_budget():
+    with pytest.raises(BudgetExceededError):
+        divisors_above_one((10**9 + 7) * (10**9 + 9), budget=10**5)
+
+
 def test_budget_charges_and_raises():
     b = Budget(3)
     b.charge()

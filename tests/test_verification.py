@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import graphcode.cliques
 from graphcode import (CheckResult, check_divisor_graph_polynomial, complete_graph,
                        covering_round_trip_check, cycle_graph, empty_graph,
                        first_primes, minimum_total_coverings, path_graph,
@@ -74,3 +75,17 @@ def test_suite_mentions_code_detail(example_graph):
     results = run_invariant_suite(example_graph)
     joined = " ".join(r.detail for r in results)
     assert "231" in joined  # the code's largest entry shows up in the detail text
+
+
+def test_suite_runs_the_covering_search_twice(example_graph, monkeypatch):
+    """One search for the minimum coverings, one inside code(); nothing else."""
+    calls = []
+    search = graphcode.cliques._maximal_coverings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphcode.cliques, "_maximal_coverings", counted)
+    run_invariant_suite(example_graph)
+    assert len(calls) <= 2
