@@ -11,7 +11,8 @@ reduction and exact algorithms for clique cover", ACM JEA 13, 2009).
 
 Every minimum total covering is a shrink of a minimum maximal-clique
 covering: S_i subset of M_i with |S_i| >= 2, still covering every edge.
-A shrink is irreducible when no vertex can be dropped from any S_i.
+minimum_total_coverings lists the shrinks; the code's label search in
+coding picks them itself and never lists them.
 """
 
 from __future__ import annotations
@@ -225,26 +226,20 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     return singletons, [tuple(cliques[j] for j in chosen) for chosen in found]
 
 
-def _shrinks(covering: tuple[Clique, ...], tracker: Budget, irreducible: bool,
-             ) -> list[tuple[Clique, ...]]:
-    """Every S_1..S_k with S_i subset of M_i that covers the same edges.
+def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int, ...]]) -> None:
+    """Add every S_1..S_k with S_i subset of M_i that covers the same edges.
 
     covering is a least edge covering M_1..M_k by maximal cliques, so no
     S_i can fall below two vertices.  Vertices are dropped one (clique,
     vertex) item at a time while every edge stays covered; only items whose
-    whole star in M_i lies in other cliques too can ever go.  With
-    irreducible set, only shrinks from which no vertex can be dropped are
-    kept: an item kept while it could still go must end essential, and a
-    branch is cut as soon as one such item no longer can.  Each drop test
-    charges 1 plus the star it checks.
+    whole star in M_i lies in other cliques too can ever go.  Each shrink
+    goes into found as the sorted tuple of its cliques' vertex bitmasks.
+    Each drop test charges 1 plus the star it checks, and each shrink kept
+    1 per clique.
     """
     members = [set(c) for c in covering]
-    share: dict[tuple[int, int], int] = {}
-    holders: dict[tuple[int, int], list[int]] = {}
-    for i, clique in enumerate(covering):
-        for e in combinations(sorted(clique), 2):
-            share[e] = share.get(e, 0) + 1
-            holders.setdefault(e, []).append(i)
+    masks = [sum(1 << v for v in c) for c in covering]
+    share = _edge_shares(covering)
 
     def droppable(i: int, v: int) -> bool:
         tracker.charge(len(members[i]))
@@ -257,70 +252,34 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, irreducible: bool,
 
     items = sorted(((i, v) for i, clique in enumerate(covering) for v in clique
                     if droppable(i, v)), key=lambda item: (item[1], item[0]))
-    position = {item: t for t, item in enumerate(items)}
-    # The last item that can take edge e out of clique j, -1 if none can.
-    release = {(e, j): max(position.get((j, e[0]), -1), position.get((j, e[1]), -1))
-               for e, js in holders.items() for j in js}
-    out: list[tuple[Clique, ...]] = []
 
-    def essential_status(i: int, v: int, t: int) -> int:
-        """2 when an edge of v in S_i lies in no other clique (it stays so),
-        1 when the undecided items from t on could still make one so: every
-        other clique holding the edge must be able to lose an endpoint.
-        Charges 1 plus the edges and holders it checks."""
-        status = 0
-        checks = 1
-        for w in members[i]:
-            if w == v:
-                continue
-            e = (v, w) if v < w else (w, v)
-            checks += 1
-            if share[e] == 1:
-                status = 2
-                break
-            if not status:
-                checks += len(holders[e])
-                if all(j == i or release[e, j] >= t or v not in members[j] or w not in members[j]
-                       for j in holders[e]):
-                    status = 1
-        tracker.charge(checks)
-        return status
-
-    def walk(t: int, pending: list[tuple[int, int]]) -> None:
-        """Decide the items from t on; pending holds the kept items that
-        were droppable when kept and must end essential."""
+    def walk(t: int) -> None:
         while t < len(items) and not droppable(*items[t]):
             t += 1
-        still = []
-        for i, v in pending:
-            status = essential_status(i, v, t)
-            if not status:
-                return
-            if status == 1:
-                still.append((i, v))
         if t == len(items):
-            out.append(tuple(frozenset(s) for s in members))
+            tracker.charge(len(masks))
+            found.add(tuple(sorted(masks)))
             return
         i, v = items[t]
         shift(i, v, -1)
         members[i].remove(v)
-        walk(t + 1, still)
+        masks[i] ^= 1 << v
+        walk(t + 1)
+        masks[i] ^= 1 << v
         members[i].add(v)
         shift(i, v, 1)
-        walk(t + 1, still + [(i, v)] if irreducible else still)
+        walk(t + 1)
 
-    walk(0, [])
-    return out
+    walk(0)
 
 
-def _total_coverings(g: Graph, tracker: Budget, irreducible: bool) -> list[Covering]:
-    singletons, coverings = _maximal_coverings(g, tracker, find_all=True)
-    found: set[frozenset[Clique]] = set()
-    for covering in coverings:
-        for shrink in _shrinks(covering, tracker, irreducible):
-            found.add(frozenset(singletons + shrink))
-    ordered = sorted(found, key=lambda cov: sorted((len(c), sorted(c)) for c in cov))
-    return [canonical_covering(c) for c in ordered]
+def _edge_shares(covering: Iterable[Clique]) -> dict[tuple[int, int], int]:
+    """How many cliques of the covering hold each edge."""
+    share: dict[tuple[int, int], int] = {}
+    for clique in covering:
+        for e in combinations(sorted(clique), 2):
+            share[e] = share.get(e, 0) + 1
+    return share
 
 
 def theta_t(g: Graph, budget: int | Budget | None = None) -> int:
@@ -332,7 +291,14 @@ def theta_t(g: Graph, budget: int | Budget | None = None) -> int:
 
 def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> list[Covering]:
     """Every minimum total clique covering, canonically ordered and deduplicated."""
-    return _total_coverings(g, Budget.coerce(budget), irreducible=False)
+    tracker = Budget.coerce(budget)
+    singletons, coverings = _maximal_coverings(g, tracker, find_all=True)
+    found: set[tuple[int, ...]] = set()
+    for covering in coverings:
+        _shrinks(covering, tracker, found)
+    built = [singletons + tuple(frozenset(_members(mask)) for mask in shrink) for shrink in found]
+    built.sort(key=lambda cov: sorted((len(c), sorted(c)) for c in cov))
+    return [canonical_covering(c) for c in built]
 
 
 def irreducible_minimum_coverings(g: Graph, budget: int | Budget | None = None,
@@ -341,9 +307,18 @@ def irreducible_minimum_coverings(g: Graph, budget: int | Budget | None = None,
 
     Dropping a vertex from a non-singleton clique divides one label by that
     clique's prime under every assignment, so the code is always attained
-    at one of these.  Canonically ordered and deduplicated.
+    at one of these.  Filters minimum_total_coverings, charging 1 plus the
+    clique's size per (clique, vertex) test.
     """
-    return _total_coverings(g, Budget.coerce(budget), irreducible=True)
+    tracker = Budget.coerce(budget)
+    kept = []
+    for covering in minimum_total_coverings(g, tracker):
+        tracker.charge(sum(len(c) * (1 + len(c)) for c in covering if len(c) > 1))
+        share = _edge_shares(covering)
+        if not any(all(share[(v, w) if v < w else (w, v)] > 1 for w in c if w != v)
+                   for c in covering if len(c) > 1 for v in c):
+            kept.append(covering)
+    return kept
 
 
 def covering_from_sequence(entries: Sequence[int],

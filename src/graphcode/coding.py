@@ -5,17 +5,19 @@ covering labels each vertex with the product of its cliques' primes; the
 sorted label sequence is a coding sequence of the graph.  Minimizing
 lexicographically over all prime assignments and over all minimum
 coverings yields the code, which is identical for two graphs exactly
-when they are isomorphic.
+when they are isomorphic.  One label search per least covering by
+maximal cliques picks each clique's shrink along with the primes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .budget import Budget
-from .cliques import irreducible_minimum_coverings, is_total_clique_covering, maximal_cliques
+from .cliques import _maximal_coverings, is_total_clique_covering, maximal_cliques
 from .graphs import Graph, LabeledGraph, realize_sequence
 from .primes import first_primes, is_square_free, prime_support
 
@@ -102,50 +104,18 @@ def coding_sequence_from_covering(g: Graph, covering: Sequence[Iterable[int]],
     return tuple(sorted(labels))
 
 
-def _assignment_patterns(g: Graph, covering: Sequence[Iterable[int]],
-                         ) -> tuple[list[int], list[list[int]], int]:
-    """Vertex membership bitmasks over the non-singleton cliques.
-
-    Returns (patterns of the non-isolated vertices, vertex lists per clique
-    index, count of label-1 vertices).
-    """
-    _, non_singletons = _split_covering(covering)
-    pattern_by_vertex = [0] * g.vertex_count
-    members: list[list[int]] = []
-    for i, clique in enumerate(non_singletons):
-        members.append([])
-        for v in clique:
-            pattern_by_vertex[v] |= 1 << i
-    patterns = []
-    ones = 0
-    index_of = {}
-    for v in g.vertices():
-        if pattern_by_vertex[v]:
-            index_of[v] = len(patterns)
-            patterns.append(pattern_by_vertex[v])
-        else:
-            ones += 1
-    for i, clique in enumerate(non_singletons):
-        members[i] = sorted(index_of[v] for v in clique)
-    return patterns, members, ones
-
-
-def _swap_bits(x: int, a: int, b: int) -> int:
-    bit_a = x >> a & 1
-    bit_b = x >> b & 1
-    if bit_a != bit_b:
-        x ^= (1 << a) | (1 << b)
-    return x
-
-
 def _interchangeable_lower_masks(patterns: list[int], k: int, tracker: Budget) -> list[int]:
     """For each clique, the mask of lower-indexed interchangeable cliques.
 
-    Two cliques are interchangeable when swapping them maps the multiset of
-    vertex membership patterns to itself; assignments then need only try
-    them in index order.  Each pair tested charges one budget unit.
+    patterns[v] holds vertex v's IN cliques in its low k bits and its
+    undecided ones in the k bits above.  Two cliques are interchangeable
+    when swapping them maps the multiset of patterns to itself; which
+    vertices must share a clique depends on the patterns alone, so the swap
+    maps completions to completions with the same labels, and assignments
+    need only try them in index order.  Each pair tested charges one unit.
     """
     reference = sorted(patterns)
+    both = 1 | 1 << k
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -156,101 +126,236 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, tracker: Budget) -
 
     for a, b in combinations(range(k), 2):
         tracker.charge()
-        if sorted(_swap_bits(p, a, b) for p in patterns) == reference:
+        pair = 1 << a | 1 << b
+        if sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in patterns) == reference:
             parent[find(b)] = find(a)
-    lower = [0] * k
-    for c in range(k):
-        for d in range(c):
-            if find(d) == find(c):
-                lower[c] |= 1 << d
-    return lower
+    return [sum(1 << d for d in range(c) if find(d) == find(c)) for c in range(k)]
 
 
-def _min_label_sequence(g: Graph, covering: Sequence[Iterable[int]],
-                        tracker: Budget,
-                        seed: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Lexicographically least sorted label sequence over all assignments.
+def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget, fold: bool,
+                    seed: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Lexicographically least sorted label sequence of one covering.
 
-    With a seed, returns min(seed, true minimum), which lets callers thread
-    a running best across several coverings.
+    Vertices in no clique of two or more are labeled 1.  With fold, the
+    cliques are a least edge covering by maximal cliques M_i, and the
+    search also picks each S_i subset of M_i, every edge still covered.
+    With a seed, returns min(seed, true minimum).
+
+    Each vertex is IN some cliques and may still join others.  An edge that
+    one clique alone may hold forces both ends in; a membership whose edges
+    other IN cliques cover only multiplies a label and is dropped.  Primes
+    go to cliques in ascending order.  A vertex's floor is its product times
+    the next primes for its open IN cliques and for a packing of the edges
+    it must still join a clique for, with pairwise disjoint possible
+    holders, each costing their least assigned prime or an open one; a
+    pending block takes exactly the next primes.  A node whose sorted floors
+    are >= the incumbent is cut.  Let mu be the least floor.  A vertex with
+    nothing to join reaches its floor only by dropping its undecided
+    memberships and taking the next primes for its open cliques; if a
+    least-floor vertex can, every optimal completion labels one such vertex
+    mu, so the search branches on which one and assigns its block.
+    Otherwise it branches on one membership.  Interchangeable cliques take
+    primes in index order.  A node charges 1 + m + k units for its m labels
+    and k cliques; propagation and packing charge 1 per edge scanned.
     """
-    patterns, members, ones = _assignment_patterns(g, covering)
-    k = len(members)
-    primes = first_primes(k)
-    if k == 0:
-        sequence = (1,) * ones
-        return min(seed, sequence) if seed is not None else sequence
-    return _min_sequence_branch_and_bound(patterns, members, ones, primes, tracker, seed)
-
-
-def _min_sequence_branch_and_bound(patterns: list[int], members: list[list[int]],
-                                   ones: int, primes: tuple[int, ...],
-                                   tracker: Budget,
-                                   seed: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Assign primes in ascending order, bounding against the incumbent.
-
-    An unfinished vertex v with open(v) unassigned cliques ends at least at
-    its floor: its partial product times the next |open(v)| primes.  Labels
-    only grow, so the sorted floors bound every completion below a node,
-    and a node whose floor is lexicographically >= the incumbent is cut.
-    Let mu be the least floor of an unfinished vertex.  Giving that
-    vertex's open cliques the next primes makes its label exactly mu, while
-    every other label stays >= mu, so every optimal completion gives some
-    vertex exactly mu; the only way to do so is to give the open cliques of
-    a vertex whose floor is mu exactly the next primes, since any other
-    choice of as many primes has a larger product.  The search therefore
-    branches on the distinct open-clique masks of the least-floor vertices
-    and then assigns the chosen block's primes one clique at a time.
-    Interchangeable cliques take primes in index order.  Every node
-    charges 1 + m + k budget units for its m labels and k cliques.
-    """
-    k = len(members)
-    m = len(patterns)
-    node_cost = 1 + m + k
-    lower_mask = _interchangeable_lower_masks(patterns, k, tracker)
-    suffix: list[list[int]] = []
-    for j in range(k + 1):
-        run = [1]
-        for p in primes[j:]:
-            run.append(run[-1] * p)
-        suffix.append(run)
-
+    ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
+    index = {v: t for t, v in enumerate(sorted({v for c in ordered for v in c}))}
+    members = [[index[v] for v in c] for c in ordered]
+    k, m = len(members), len(index)
+    leading = (1,) * (g.vertex_count - m)
+    if not k:
+        return min(seed, leading) if seed is not None else leading
+    pattern = [0] * m
+    for i, clique in enumerate(members):
+        for v in clique:
+            pattern[v] |= 1 << i
+    neighbours = [sorted({w for i in range(k) if pattern[v] >> i & 1 for w in members[i]} - {v})
+                  for v in range(m)]
+    inside = [0] * m if fold else pattern[:]
+    free = pattern[:]
+    need: list[tuple | None] = [None] * m
     products = [1] * m
-    leading_ones = (1,) * ones
+    prime_of = [0] * k
+    trail: list[tuple[list, int, object]] = []
+
+    def put(array: list, v: int, value) -> None:
+        trail.append((array, v, array[v]))
+        array[v] = value
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            array, v, value = trail.pop()
+            array[v] = value
+
+    def touch(v: int) -> None:
+        """Mark the packings that v's memberships feed as stale."""
+        tracker.charge(1 + len(neighbours[v]))
+        for w in (v, *neighbours[v]):
+            if need[w] is not None:
+                put(need, w, None)
+
+    def must_join(v: int) -> tuple:
+        """(mask, cliques) of the possible holders of each edge in a packing
+        of v's edges that only an undecided clique of v can cover."""
+        tracker.charge(1 + len(neighbours[v]))
+        mine, held = inside[v], free[v]
+        packing = []
+        blocked = 0
+        for holders in sorted((held & free[w] for w in neighbours[v] if not mine & inside[w]),
+                              key=int.bit_count):
+            if not holders & (mine | blocked):
+                packing.append((holders, [i for i in range(k) if holders >> i & 1]))
+                blocked |= holders
+        need[v] = packed = tuple(packing)
+        return packed
+
+    def join(v: int, bit: int, assigned: int) -> None:
+        """Put v into one clique, then drop the memberships it made useless."""
+        put(inside, v, inside[v] | bit)
+        if assigned & bit:
+            put(products, v, products[v] * prime_of[bit.bit_length() - 1])
+        touch(v)
+        for u in members[bit.bit_length() - 1]:
+            if u != v and not inside[u] & bit or free[u] == inside[u]:
+                continue
+            for h in range(k):
+                if (free[u] & ~inside[u]) >> h & 1:
+                    tracker.charge(len(members[h]))
+                    if all(inside[u] & inside[w] for w in members[h] if w != u):
+                        put(free, u, free[u] & ~(1 << h))
+                        touch(u)
+
+    def drop(v: int, bits: int, assigned: int) -> bool:
+        """Take v out of the cliques in bits and force every edge left with
+        one possible holder; False when some edge is left with none."""
+        put(free, v, free[v] & ~bits)
+        touch(v)
+        tracker.charge(1 + len(neighbours[v]))
+        for w in neighbours[v]:
+            if not pattern[w] & bits or inside[v] & inside[w]:
+                continue
+            holders = free[v] & free[w]
+            if not holders:
+                return False
+            if not holders & (holders - 1):
+                for x in (v, w):
+                    if not inside[x] & holders:
+                        join(x, holders, assigned)
+        return True
+
+    if fold:
+        for v in range(m):
+            tracker.charge(1 + len(neighbours[v]))
+            for w in neighbours[v]:
+                holders = pattern[v] & pattern[w]
+                if not holders & (holders - 1):
+                    inside[v] |= holders
+        for v in range(m):
+            for i in range(k):
+                if (pattern[v] & ~inside[v]) >> i & 1:
+                    tracker.charge(len(members[i]))
+                    if all(inside[v] & inside[w] for w in members[i] if w != v):
+                        free[v] &= ~(1 << i)
+    primes = first_primes(k)
+    suffix = [list(accumulate(primes[j:], mul, initial=1)) for j in range(k + 1)]
+    lower_mask = _interchangeable_lower_masks(
+        [inside[v] | (free[v] & ~inside[v]) << k for v in range(m)], k, tracker)
     incumbent = seed
 
-    def descend(assigned: int, j: int, block: int) -> None:
+    def undecided_floor(v: int, opened: int, j: int, assigned: int, block: int,
+                        width: int) -> int:
+        value = products[v]
+        extra = 0
+        for holders, cliques in need[v] if need[v] is not None else must_join(v):
+            if holders & assigned:
+                value *= min(prime_of[i] for i in cliques if assigned >> i & 1)
+            else:
+                extra += 1
+        inner = (opened & block).bit_count()
+        spare = min(extra, width - inner)
+        return (value * suffix[j][inner + spare]
+                * suffix[j + width][(opened & ~block).bit_count() + extra - spare])
+
+    def split(v: int, options: int, j: int, assigned: int) -> None:
+        """Branch on v leaving, then joining, the cheapest clique in options."""
+        cheap = options & assigned
+        if cheap:
+            options = 1 << min((i for i in range(k) if cheap >> i & 1), key=prime_of.__getitem__)
+        bit = options & -options
+        mark = len(trail)
+        if drop(v, bit, assigned):
+            descend(j, assigned, 0)
+        undo(mark)
+        join(v, bit, assigned)
+        descend(j, assigned, 0)
+        undo(mark)
+
+    def descend(j: int, assigned: int, block: int) -> None:
         nonlocal incumbent
-        tracker.charge(node_cost)
+        tracker.charge(1 + m + k)
+        width = block.bit_count()
+        here, after = suffix[j], suffix[j + width]
         values = []
         least = None
-        blocks = []
+        ties: list[int] = []
         for v in range(m):
-            open_bits = patterns[v] & ~assigned
-            if not open_bits:
+            mine = inside[v]
+            opened = mine & ~assigned
+            if free[v] != mine:
+                value = undecided_floor(v, opened, j, assigned, block, width)
+            elif not opened:
                 values.append(products[v])
                 continue
-            value = products[v] * suffix[j][open_bits.bit_count()]
+            elif block:
+                value = (products[v] * here[(opened & block).bit_count()]
+                         * after[(opened & ~block).bit_count()])
+            else:
+                value = products[v] * here[opened.bit_count()]
             values.append(value)
             if least is None or value < least:
-                least, blocks = value, [open_bits]
-            elif value == least and open_bits not in blocks:
-                blocks.append(open_bits)
-        floor = leading_ones + tuple(sorted(values))
+                least, ties = value, [v]
+            elif value == least:
+                ties.append(v)
+        floor = leading + tuple(sorted(values))
         if incumbent is not None and floor >= incumbent:
             return
-        if j == k:
+        if least is None:
             incumbent = floor
             return
-        for chosen in ([block] if block else blocks):
-            for c in range(k):
-                if not chosen >> c & 1 or lower_mask[c] & ~assigned:
-                    continue
-                for v in members[c]:
-                    products[v] *= primes[j]
-                descend(assigned | 1 << c, j + 1, chosen & ~(1 << c))
-                for v in members[c]:
-                    products[v] //= primes[j]
+        choices = [(block, 0, 0)]
+        if not block:
+            for v in ties:
+                if free[v] != inside[v] and need[v]:
+                    split(v, need[v][0][0], j, assigned)
+                    return
+            # A vertex without undecided memberships reaching mu allows every
+            # completion in which another vertex does so with the same block.
+            done = [inside[w] & ~assigned for w in ties if free[w] == inside[w]]
+            choices = [(opened, 0, 0) for opened in dict.fromkeys(done)]
+            choices += [(inside[w] & ~assigned, w, free[w] & ~inside[w]) for w in ties
+                        if free[w] != inside[w] and inside[w] & ~assigned not in done]
+        feasible = False
+        for chosen, w, undecided in choices:
+            mark = len(trail)
+            if not undecided or drop(w, undecided, assigned):
+                feasible = True
+                if not chosen:
+                    descend(j, assigned, 0)
+                for c in range(k):
+                    if not chosen >> c & 1 or lower_mask[c] & ~assigned:
+                        continue
+                    bit = 1 << c
+                    prime_of[c] = p = primes[j]
+                    holding = [v for v in members[c] if inside[v] & bit]
+                    for v in holding:
+                        products[v] *= p
+                    descend(j + 1, assigned | bit, chosen & ~bit)
+                    for v in holding:
+                        products[v] //= p
+            if undecided:
+                undo(mark)
+        if not feasible:
+            split(ties[0], free[ties[0]] & ~inside[ties[0]], j, assigned)
 
     descend(0, 0, 0)
     return incumbent
@@ -264,20 +369,20 @@ def sigma_of_covering(g: Graph, covering: Sequence[Iterable[int]],
     """
     if not is_total_clique_covering(g, covering):
         raise ValueError("not a total clique covering of the graph")
-    tracker = Budget.coerce(budget)
-    return _min_label_sequence(g, covering, tracker)
+    return _least_sequence(g, covering, Budget.coerce(budget), fold=False)
 
 
 def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:
     """The canonical code: least sigma over all minimum total clique coverings.
 
-    Only irreducible coverings can attain it, so only those are searched.
+    Every minimum covering shrinks from a least covering by maximal
+    cliques, so one label search per such covering, choosing the shrink as
+    it goes, covers them all.
     """
     tracker = Budget.coerce(budget)
     best = None
-    for covering in irreducible_minimum_coverings(g, tracker):
-        best = _min_label_sequence(g, covering, tracker, seed=best)
-    assert best is not None
+    for covering in _maximal_coverings(g, tracker, find_all=True)[1]:
+        best = _least_sequence(g, covering, tracker, fold=True, seed=best)
     return best
 
 

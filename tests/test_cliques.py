@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -195,6 +197,21 @@ def test_budget_error_carries_limit():
         assert err.limit == 5
     else:
         pytest.fail("expected BudgetExceededError")
+
+
+def test_covering_listing_memory_stays_small_under_budget():
+    # Listing every minimum covering of K_10 minus four edges takes millions
+    # of units; under 10^5 the listing must keep only what it has paid for.
+    missing = {(0, 6), (3, 8), (4, 5), (5, 6)}
+    g = graph_from_edge_list(10, [e for e in combinations(range(10), 2) if e not in missing])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            minimum_total_coverings(g, budget=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10 ** 6
 
 
 def test_covering_members_are_essential():

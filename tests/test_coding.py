@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import graphcode.cliques
 from graphcode import (Budget, BudgetExceededError, apply_permutation, brute_force_code,
                        brute_force_isomorphic, brute_force_sigma_of_covering,
                        check_sequence_shape, code, coding_sequence_from_covering,
@@ -268,6 +270,43 @@ def test_validate_coding_sequence(example_graph):
     assert not validate_coding_sequence((3, 2), example_graph)
     assert validate_coding_sequence((2, 3, 10, 15), path_graph(4))
     assert not validate_coding_sequence((2, 3, 10, 15), cycle_graph(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.floats(0.5, 1.0), st.integers(0, 2 ** 30))
+def test_code_is_least_sigma_over_minimum_coverings(n, p, seed):
+    # code() folds the shrink choice into its label search; listing every
+    # minimum covering and labelling each one must agree with it.
+    g = random_graph(random.Random(seed), n, p)
+    assert code(g) == min(sigma_of_covering(g, c) for c in minimum_total_coverings(g))
+
+
+def k10_minus(*missing):
+    return graph_from_edge_list(10, [e for e in combinations(range(10), 2) if e not in missing])
+
+
+def test_dense_graphs_with_many_shrinks_stay_in_budget():
+    # K_10 minus two disjoint edges has 1,330 irreducible minimum coverings;
+    # labelling them one at a time took about 5 * 10^6 units.
+    assert code(k10_minus((0, 6), (3, 8)), budget=10 ** 6) == (6, 6, 6, 6, 6, 6, 10, 14, 15, 21)
+    assert (code(k10_minus((0, 6), (3, 8), (4, 5), (5, 6)), budget=10 ** 6)
+            == (6, 6, 6, 6, 10, 14, 15, 21, 110, 231))
+
+
+def test_code_never_lists_shrinks(example_graph, witness_graph, monkeypatch):
+    calls = []
+    listing = graphcode.cliques._shrinks
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return listing(*args, **kwargs)
+
+    monkeypatch.setattr(graphcode.cliques, "_shrinks", counted)
+    for g in (example_graph, witness_graph, k10_minus((0, 6), (3, 8)), cycle_graph(7)):
+        code(g)
+    assert not calls
+    minimum_total_coverings(witness_graph)
+    assert calls
 
 
 def test_code_budget_exhaustion():
