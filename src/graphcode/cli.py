@@ -13,7 +13,7 @@ import os
 import sys
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
-from .cliques import covering_to_text, minimum_total_coverings, theta_t
+from .cliques import covering_to_text, minimum_total_coverings
 from .coding import code, parse_sequence, render_sequence
 from .graph_io import load_graph, render_edge_list
 from .graphs import divisor_graph, generate_family, realize_sequence
@@ -124,8 +124,9 @@ def _cmd_divisor(args) -> int:
         data["method"] = "closed-form"
         human.append(f"F (closed form): {closed.render()}")
     else:
-        theta = theta_t(g, tracker)
         pipeline = canonical_polynomial(g, tracker)
+        # theta_t is the code's prime count plus the isolated count.
+        theta = pipeline.variable_count + pipeline.constant_term
         agrees = pipeline == closed
         data.update({"theta_t": theta, "polynomial": pipeline.render(),
                      "method": "pipeline", "closed_form_agrees": agrees})
@@ -141,6 +142,8 @@ def _cmd_divisor(args) -> int:
 
 def _cmd_realize(args) -> int:
     entries = parse_sequence(args.sequence)
+    n = len(entries)
+    _budget_from(args).charge(n * (n - 1) // 2)
     labeled = realize_sequence(entries)
     data = {"labels": list(labeled.labels),
             "edges": [list(e) for e in labeled.graph.sorted_edges()],
@@ -150,6 +153,9 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    n = max(args.n, 1)
+    edges = {"complete": n * (n - 1) // 2, "path": n - 1, "cycle": n}.get(args.family, 0)
+    _budget_from(args).charge(n + edges)
     g = generate_family(args.family, args.n)
     data = {"family": args.family, "n": args.n,
             "edges": [list(e) for e in g.sorted_edges()],

@@ -292,7 +292,13 @@ def theta_t(g: Graph, budget: int | Budget | None = None) -> int:
 def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> list[Covering]:
     """Every minimum total clique covering, canonically ordered and deduplicated."""
     tracker = Budget.coerce(budget)
-    singletons, coverings = _maximal_coverings(g, tracker, find_all=True)
+    return _total_coverings(*_maximal_coverings(g, tracker, find_all=True), tracker)
+
+
+def _total_coverings(singletons: tuple[Clique, ...], coverings: list[tuple[Clique, ...]],
+                     tracker: Budget) -> list[Covering]:
+    """Every shrink of the least maximal-clique coverings, with the isolated
+    vertices' singletons, canonically ordered and deduplicated."""
     found: set[tuple[int, ...]] = set()
     for covering in coverings:
         _shrinks(covering, tracker, found)

@@ -142,13 +142,12 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     With a seed, returns min(seed, true minimum).
 
     Each vertex is IN some cliques and may still join others.  An edge that
-    one clique alone may hold forces both ends in; a membership whose edges
-    other IN cliques cover only multiplies a label and is dropped.  Primes
-    go to cliques in ascending order.  A vertex's floor is its product times
-    the next primes for its open IN cliques and for a packing of the edges
-    it must still join a clique for, with pairwise disjoint possible
-    holders, each costing their least assigned prime or an open one; a
-    pending block takes exactly the next primes.  A node whose sorted floors
+    one clique alone may hold forces both ends in.  Primes go to cliques in
+    ascending order.  A vertex's floor is its product times the next primes
+    for its open IN cliques and for a packing of the edges it must still
+    join a clique for, with pairwise disjoint possible holders, each
+    costing their least assigned prime or an open one; a pending block
+    takes exactly the next primes.  A node whose sorted floors
     are >= the incumbent is cut.  Let mu be the least floor.  A vertex with
     nothing to join reaches its floor only by dropping its undecided
     memberships and taking the next primes for its open cliques; if a
@@ -210,20 +209,11 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         return packed
 
     def join(v: int, bit: int, assigned: int) -> None:
-        """Put v into one clique, then drop the memberships it made useless."""
+        """Put v into one clique, taking its prime if it has one."""
         put(inside, v, inside[v] | bit)
         if assigned & bit:
             put(products, v, products[v] * prime_of[bit.bit_length() - 1])
         touch(v)
-        for u in members[bit.bit_length() - 1]:
-            if u != v and not inside[u] & bit or free[u] == inside[u]:
-                continue
-            for h in range(k):
-                if (free[u] & ~inside[u]) >> h & 1:
-                    tracker.charge(len(members[h]))
-                    if all(inside[u] & inside[w] for w in members[h] if w != u):
-                        put(free, u, free[u] & ~(1 << h))
-                        touch(u)
 
     def drop(v: int, bits: int, assigned: int) -> bool:
         """Take v out of the cliques in bits and force every edge left with
@@ -250,12 +240,6 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                 holders = pattern[v] & pattern[w]
                 if not holders & (holders - 1):
                     inside[v] |= holders
-        for v in range(m):
-            for i in range(k):
-                if (pattern[v] & ~inside[v]) >> i & 1:
-                    tracker.charge(len(members[i]))
-                    if all(inside[v] & inside[w] for w in members[i] if w != v):
-                        free[v] &= ~(1 << i)
     primes = first_primes(k)
     suffix = [list(accumulate(primes[j:], mul, initial=1)) for j in range(k + 1)]
     lower_mask = _interchangeable_lower_masks(
@@ -277,10 +261,7 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                 * suffix[j + width][(opened & ~block).bit_count() + extra - spare])
 
     def split(v: int, options: int, j: int, assigned: int) -> None:
-        """Branch on v leaving, then joining, the cheapest clique in options."""
-        cheap = options & assigned
-        if cheap:
-            options = 1 << min((i for i in range(k) if cheap >> i & 1), key=prime_of.__getitem__)
+        """Branch on v leaving, then joining, the lowest-indexed clique in options."""
         bit = options & -options
         mark = len(trail)
         if drop(v, bit, assigned):
@@ -372,6 +353,16 @@ def sigma_of_covering(g: Graph, covering: Sequence[Iterable[int]],
     return _least_sequence(g, covering, Budget.coerce(budget), fold=False)
 
 
+def _least_code(g: Graph, coverings: Sequence[Sequence[Iterable[int]]],
+                tracker: Budget) -> tuple[int, ...]:
+    """The least sigma over the shrinks of g's least edge coverings by
+    maximal cliques, one label search per covering."""
+    best = None
+    for covering in coverings:
+        best = _least_sequence(g, covering, tracker, fold=True, seed=best)
+    return best
+
+
 def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:
     """The canonical code: least sigma over all minimum total clique coverings.
 
@@ -380,10 +371,7 @@ def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:
     it goes, covers them all.
     """
     tracker = Budget.coerce(budget)
-    best = None
-    for covering in _maximal_coverings(g, tracker, find_all=True)[1]:
-        best = _least_sequence(g, covering, tracker, fold=True, seed=best)
-    return best
+    return _least_code(g, _maximal_coverings(g, tracker, find_all=True)[1], tracker)
 
 
 def is_isomorphic_by_code(g1: Graph, g2: Graph,

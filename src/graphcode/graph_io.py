@@ -181,9 +181,9 @@ def detect_format(path: str, text: str) -> str:
             continue
         if line.startswith("#"):
             return "edge-list"
-        if line.startswith(("c", "p")):
-            return "dimacs"
         parts = line.split()
+        if parts[0] in ("c", "p"):
+            return "dimacs"
         if len(parts) == 2 and all(p.isdigit() for p in parts):
             return "edge-list"
         return "graph6"

@@ -127,14 +127,10 @@ def brute_force_sigma_of_covering(g: Graph, covering: frozenset[frozenset[int]],
     """Least label sequence of one covering, over every prime assignment."""
     non_singletons = sorted((c for c in covering if len(c) > 1),
                             key=lambda c: sorted(c))
-    k = len(non_singletons)
+    holders = [[i for i, c in enumerate(non_singletons) if v in c] for v in g.vertices()]
     best = None
-    for assigned in permutations(first_primes(k)):
-        labels = []
-        for v in g.vertices():
-            members = [assigned[i] for i, c in enumerate(non_singletons) if v in c]
-            labels.append(prod(members) if members else 1)
-        candidate = tuple(sorted(labels))
+    for assigned in permutations(first_primes(len(non_singletons))):
+        candidate = tuple(sorted(prod(assigned[i] for i in held) for held in holders))
         if best is None or candidate < best:
             best = candidate
     if best is None:

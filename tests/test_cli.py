@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,21 @@ def test_gen_with_closed_form(capsys):
     assert status == 0
     assert "code: (6,10,21,55,77)" in out
     assert "F: x1*x2 + x1*x3 + x2*x4 + x3*x5 + x4*x5" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # 2,000 entries: about 2 * 10^6 gcd pairs to test
+    ("realize", "--budget", "1000", "--sequence", ",".join(["6"] * 2000)),
+    # 3,000 vertices and about 4.5 * 10^6 edges to build and print
+    ("gen", "--family", "complete", "--n", "3000", "--budget", "10"),
+])
+def test_realize_and_gen_honour_the_budget(capsys, argv):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert status == 2
+    assert "node budget" in err
+    assert not out
 
 
 def test_verify_passes(capsys):

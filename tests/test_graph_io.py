@@ -120,6 +120,16 @@ def test_detect_format_by_content(tmp_path):
     assert detect_format(q, q.read_text()) == "edge-list"
 
 
+@pytest.mark.parametrize("n", [35, 36, 49, 50])
+def test_graph6_loads_without_its_extension(tmp_path, n):
+    """graph6 lines for 36 and 49 vertices start with "c" and "p"."""
+    g = cycle_graph(n)
+    for name in ("g.g6", "g.dat"):
+        p = tmp_path / name
+        p.write_text(render_graph6(g) + "\n")
+        assert load_graph(p).sorted_edges() == g.sorted_edges()
+
+
 def test_load_graph_fixtures(example_graph):
     g = load_graph(DATA / "example1.edges")
     assert g.sorted_edges() == example_graph.sorted_edges()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import graphcode.cliques
 from graphcode import (CheckResult, check_divisor_graph_polynomial, complete_graph,
@@ -10,6 +11,7 @@ from graphcode import (CheckResult, check_divisor_graph_polynomial, complete_gra
                        first_primes, minimum_total_coverings, path_graph,
                        run_invariant_suite, theta_divisor_graph_check,
                        theta_lambda_consistency)
+from graphcode.cli import main
 
 from conftest import random_assignment, random_graph, random_total_covering
 
@@ -77,8 +79,8 @@ def test_suite_mentions_code_detail(example_graph):
     assert "231" in joined  # the code's largest entry shows up in the detail text
 
 
-def test_suite_runs_the_covering_search_twice(example_graph, monkeypatch):
-    """One search for the minimum coverings, one inside code(); nothing else."""
+def test_each_command_runs_the_covering_search_once(example_graph, monkeypatch):
+    """verify, the theta/lambda check and divisor search each graph once."""
     calls = []
     search = graphcode.cliques._maximal_coverings
 
@@ -86,6 +88,13 @@ def test_suite_runs_the_covering_search_twice(example_graph, monkeypatch):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(graphcode.cliques, "_maximal_coverings", counted)
-    run_invariant_suite(example_graph)
-    assert len(calls) <= 2
+    # Every module that imported the search holds its own reference.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphcode") and getattr(module, "_maximal_coverings", None) is search:
+            monkeypatch.setattr(module, "_maximal_coverings", counted)
+    for run in (lambda: run_invariant_suite(example_graph),
+                lambda: theta_lambda_consistency(example_graph),
+                lambda: main(["divisor", "60"])):
+        calls.clear()
+        run()
+        assert len(calls) == 1
