@@ -116,6 +116,11 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, tracker: Budget) -
     """
     reference = sorted(patterns)
     both = 1 | 1 << k
+    low = (1 << k) - 1
+    # A swap keeps each member's IN and total counts, so cliques whose
+    # members' counts differ are never interchangeable.
+    shape = [sorted(((p & low).bit_count(), p.bit_count(), p >> c & both)
+                    for p in patterns if p >> c & both) for c in range(k)]
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -127,7 +132,8 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, tracker: Budget) -
     for a, b in combinations(range(k), 2):
         tracker.charge()
         pair = 1 << a | 1 << b
-        if sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in patterns) == reference:
+        if (shape[a] == shape[b]
+                and sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in patterns) == reference):
             parent[find(b)] = find(a)
     return [sum(1 << d for d in range(c) if find(d) == find(c)) for c in range(k)]
 
@@ -154,8 +160,17 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     least-floor vertex can, every optimal completion labels one such vertex
     mu, so the search branches on which one and assigns its block.
     Otherwise it branches on one membership.  Interchangeable cliques take
-    primes in index order.  A node charges 1 + m + k units for its m labels
-    and k cliques; propagation and packing charge 1 per edge scanned.
+    primes in index order.  A block's last two cliques take theirs in one
+    step: the node between would have one child and floors no higher.
+
+    Until a first labelling is found, a node with several children
+    evaluates each (its drop, primes and floors, then undo) and visits them
+    in ascending order of their floors, so the first labellings are good
+    ones; a visited child reuses its evaluation and the packings computed
+    for it.  After that, children are visited in clique-index order.  A
+    node charges 1 + m + k units for its m labels and k cliques, once,
+    whether its parent evaluates it or it evaluates itself; propagation and
+    packing charge 1 per edge scanned.
     """
     ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
     index = {v: t for t, v in enumerate(sorted({v for c in ordered for v in c}))}
@@ -271,8 +286,8 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         descend(j, assigned, 0)
         undo(mark)
 
-    def descend(j: int, assigned: int, block: int) -> None:
-        nonlocal incumbent
+    def evaluate(j: int, assigned: int, block: int) -> tuple[tuple[int, ...], list[int]]:
+        """Charge one node; its sorted floors and its least-floor vertices."""
         tracker.charge(1 + m + k)
         width = block.bit_count()
         here, after = suffix[j], suffix[j + width]
@@ -297,10 +312,44 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                 least, ties = value, [v]
             elif value == least:
                 ties.append(v)
-        floor = leading + tuple(sorted(values))
+        return leading + tuple(sorted(values)), ties
+
+    def steps(chosen: int, assigned: int) -> list[tuple[tuple[int, ...], int]]:
+        """(cliques taking the next primes, block left) for each child that
+        assigns from chosen; a block's last two cliques go in one step."""
+        if not chosen:
+            return [((), 0)]
+        found = []
+        for c in range(k):
+            if not chosen >> c & 1 or lower_mask[c] & ~assigned:
+                continue
+            rest = chosen & ~(1 << c)
+            if not rest or rest & (rest - 1):
+                found.append(((c,), rest))
+            elif not lower_mask[last := rest.bit_length() - 1] & ~(assigned | 1 << c):
+                found.append(((c, last), 0))
+        return found
+
+    def label(cliques: tuple[int, ...], j: int) -> int:
+        """Give the cliques the primes from the j-th on; their bits."""
+        bits = 0
+        for c in cliques:
+            bit = 1 << c
+            bits |= bit
+            prime_of[c] = p = primes[j]
+            j += 1
+            for v in members[c]:
+                if inside[v] & bit:
+                    trail.append((products, v, products[v]))
+                    products[v] *= p
+        return bits
+
+    def descend(j: int, assigned: int, block: int, evaluated: tuple | None = None) -> None:
+        nonlocal incumbent
+        floor, ties = evaluated or evaluate(j, assigned, block)
         if incumbent is not None and floor >= incumbent:
             return
-        if least is None:
+        if not ties:
             incumbent = floor
             return
         choices = [(block, 0, 0)]
@@ -315,28 +364,45 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             choices = [(opened, 0, 0) for opened in dict.fromkeys(done)]
             choices += [(inside[w] & ~assigned, w, free[w] & ~inside[w]) for w in ties
                         if free[w] != inside[w] and inside[w] & ~assigned not in done]
+        per_choice = [steps(chosen, assigned) for chosen, _, _ in choices]
+        # Until a first labelling is found, visit the children in floor order.
+        pending = [] if incumbent is None and sum(map(len, per_choice)) > 1 else None
         feasible = False
-        for chosen, w, undecided in choices:
+        for (_, w, undecided), choice_steps in zip(choices, per_choice):
             mark = len(trail)
             if not undecided or drop(w, undecided, assigned):
                 feasible = True
-                if not chosen:
-                    descend(j, assigned, 0)
-                for c in range(k):
-                    if not chosen >> c & 1 or lower_mask[c] & ~assigned:
-                        continue
-                    bit = 1 << c
-                    prime_of[c] = p = primes[j]
-                    holding = [v for v in members[c] if inside[v] & bit]
-                    for v in holding:
-                        products[v] *= p
-                    descend(j + 1, assigned | bit, chosen & ~bit)
-                    for v in holding:
-                        products[v] //= p
+                dropped = len(trail)
+                packings: list[tuple[int, tuple | None]] = []
+                for cliques, rest in choice_steps:
+                    bits = label(cliques, j)
+                    if pending is None:
+                        descend(j + len(cliques), assigned | bits, rest)
+                    else:
+                        pending.append((evaluate(j + len(cliques), assigned | bits, rest),
+                                        packings, w, undecided, cliques, rest))
+                    undo(dropped)
+                if pending is not None and undecided:
+                    # The packings the drop cleared, as its children's evaluations
+                    # recomputed them; a visit re-applies the drop and puts them back.
+                    packings += [(v, need[v]) for array, v, _ in trail[mark:dropped]
+                                 if array is need]
             if undecided:
                 undo(mark)
         if not feasible:
             split(ties[0], free[ties[0]] & ~inside[ties[0]], j, assigned)
+        for evaluation, packings, w, undecided, cliques, rest in sorted(
+                pending or (), key=lambda child: child[0][0]):
+            if incumbent is not None and evaluation[0] >= incumbent:
+                break
+            mark = len(trail)
+            if undecided:
+                drop(w, undecided, assigned)
+            bits = label(cliques, j)
+            for v, packed in packings:
+                put(need, v, packed)
+            descend(j + len(cliques), assigned | bits, rest, evaluation)
+            undo(mark)
 
     descend(0, 0, 0)
     return incumbent

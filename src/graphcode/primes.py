@@ -18,8 +18,12 @@ def _grow_primes(count: int) -> None:
     candidate = _PRIMES[-1]
     while len(_PRIMES) < count:
         candidate += 2
-        if all(candidate % p for p in _PRIMES if p * p <= candidate):
-            _PRIMES.append(candidate)
+        for p in _PRIMES:
+            if p * p > candidate:
+                _PRIMES.append(candidate)
+                break
+            if not candidate % p:
+                break
 
 
 def nth_prime(i: int) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,18 @@ def test_nth_prime_values():
     assert [nth_prime(i) for i in range(1, 11)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     with pytest.raises(ValueError):
         nth_prime(0)
+
+
+def test_nth_prime_grows_the_table_in_time(monkeypatch):
+    # Each candidate is tried only against primes up to its square root; a
+    # scan over every known prime took about 7 s to reach the 20,000th on a
+    # 2-vCPU virtual machine.
+    import graphcode.primes
+
+    monkeypatch.setattr(graphcode.primes, "_PRIMES", [2, 3, 5, 7, 11, 13])
+    start = time.perf_counter()
+    assert nth_prime(20000) == 224737
+    assert time.perf_counter() - start < 2.0
 
 
 def test_first_primes():
