@@ -6,7 +6,11 @@ sorted label sequence is a coding sequence of the graph.  Minimizing
 lexicographically over all prime assignments and over all minimum
 coverings yields the code, which is identical for two graphs exactly
 when they are isomorphic.  One label search per least covering by
-maximal cliques picks each clique's shrink along with the primes.
+maximal cliques picks each clique's shrink along with the primes.  The
+covering's symmetries (swaps of interchangeable cliques, and the clique
+permutations that swapping two twin vertices induces) keep the labels,
+so the search only tries assignments no larger than their images under
+them; the least assignment of every orbit is one.
 """
 
 from __future__ import annotations
@@ -104,15 +108,23 @@ def coding_sequence_from_covering(g: Graph, covering: Sequence[Iterable[int]],
     return tuple(sorted(labels))
 
 
-def _interchangeable_lower_masks(patterns: list[int], k: int, tracker: Budget) -> list[int]:
-    """For each clique, the mask of lower-indexed interchangeable cliques.
+def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int],
+                                  twins: list[list[int]], tracker: Budget) -> list[int]:
+    """For each clique, the mask of lower-indexed cliques that take smaller primes.
 
     patterns[v] holds vertex v's IN cliques in its low k bits and its
-    undecided ones in the k bits above.  Two cliques are interchangeable
-    when swapping them maps the multiset of patterns to itself; which
-    vertices must share a clique depends on the patterns alone, so the swap
-    maps completions to completions with the same labels, and assignments
-    need only try them in index order.  Each pair tested charges one unit.
+    undecided ones in the k bits above; cliques[c] is clique c's member
+    mask.  A permutation pi of the cliques that maps the multiset of
+    patterns to itself is a symmetry: which vertices must share a clique
+    depends on the patterns alone, so pi maps completions to completions
+    with the same labels.  Interchangeable cliques, whose swap is one, take
+    primes in index order.  Swapping a pair of twins (vertices in one of
+    the twins lists) in every clique holding one of them gives a candidate
+    pi; if it is one, the lowest clique p it moves takes a smaller prime
+    than pi(p).  Each is the constraint A <= A o pi, in clique-index order,
+    of one symmetry, so the least assignment A of each orbit under the
+    group they generate meets all of them together.  Each pair tested
+    charges one unit.
     """
     reference = sorted(patterns)
     both = 1 | 1 << k
@@ -135,7 +147,22 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, tracker: Budget) -
         if (shape[a] == shape[b]
                 and sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in patterns) == reference):
             parent[find(b)] = find(a)
-    return [sum(1 << d for d in range(c) if find(d) == find(c)) for c in range(k)]
+    masks = [sum(1 << d for d in range(c) if find(d) == find(c)) for c in range(k)]
+    clique_at = {members: c for c, members in enumerate(cliques)}
+    for group in twins:
+        for u, v in combinations(group, 2):
+            tracker.charge()
+            swap = 1 << u | 1 << v
+            moved = [c for c, members in enumerate(cliques) if (members & swap).bit_count() == 1]
+            # The cliques are distinct, so a complete image permutes moved.
+            image = [clique_at.get(cliques[c] ^ swap) for c in moved]
+            if not moved or None in image:
+                continue
+            fixed = ~sum(both << c for c in moved)
+            if sorted(sum((p >> c & both) << d for c, d in zip(moved, image)) | p & fixed
+                      for p in patterns) == reference:
+                masks[image[0]] |= 1 << moved[0]
+    return masks
 
 
 def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget, fold: bool,
@@ -160,8 +187,11 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     least-floor vertex can, every optimal completion labels one such vertex
     mu, so the search branches on which one and assigns its block.
     Otherwise it branches on one membership.  Interchangeable cliques take
-    primes in index order.  A block's last two cliques take theirs in one
-    step: the node between would have one child and floors no higher.
+    primes in index order, and the lowest clique a twin swap moves takes a
+    smaller prime than its image: the least assignment of every orbit
+    under these root symmetries meets both (_interchangeable_lower_masks).
+    A block's last two cliques take theirs in one step: the node between
+    would have one child and floors no higher.
 
     Until a first labelling is found, a node with several children
     evaluates each (its drop, primes and floors, then undo) and visits them
@@ -170,10 +200,12 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     for it.  After that, children are visited in clique-index order.  A
     node charges 1 + m + k units for its m labels and k cliques, once,
     whether its parent evaluates it or it evaluates itself; propagation and
-    packing charge 1 per edge scanned.
+    packing charge 1 per edge scanned, and grouping the vertices into twin
+    classes 1 per vertex.
     """
     ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
-    index = {v: t for t, v in enumerate(sorted({v for c in ordered for v in c}))}
+    vertices = sorted({v for c in ordered for v in c})
+    index = {v: t for t, v in enumerate(vertices)}
     members = [[index[v] for v in c] for c in ordered]
     k, m = len(members), len(index)
     leading = (1,) * (g.vertex_count - m)
@@ -257,8 +289,17 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                     inside[v] |= holders
     primes = first_primes(k)
     suffix = [list(accumulate(primes[j:], mul, initial=1)) for j in range(k + 1)]
+    # Swapping two twins, vertices with equal open or equal closed
+    # neighbourhoods, is an automorphism of g, so twins give symmetries.
+    tracker.charge(m)
+    classes: dict[int, list[int]] = {}
+    for t, v in enumerate(vertices):
+        classes.setdefault(g.rows[v], []).append(t)
+        classes.setdefault(g.rows[v] | 1 << v, []).append(t)
     lower_mask = _interchangeable_lower_masks(
-        [inside[v] | (free[v] & ~inside[v]) << k for v in range(m)], k, tracker)
+        [inside[v] | (free[v] & ~inside[v]) << k for v in range(m)], k,
+        [sum(1 << v for v in clique) for clique in members],
+        [group for group in classes.values() if len(group) > 1], tracker)
     incumbent = seed
 
     def undecided_floor(v: int, opened: int, j: int, assigned: int, block: int,

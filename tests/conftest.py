@@ -51,6 +51,25 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return graph_from_edge_list(n, edges)
 
 
+def random_blow_up(rng: random.Random, max_vertices: int = 9) -> Graph:
+    """A random graph on 2-6 vertices with each vertex replaced by 1-3
+    twins, adjacent (true twins) or not (false twins), relabelled at random.
+
+    Twins make label searches symmetric, which G(n, p) graphs rarely are.
+    """
+    base = random_graph(rng, rng.randint(2, 6), rng.uniform(0.2, 0.9))
+    copies = [rng.randint(1, 3) for _ in base.vertices()]
+    while sum(copies) > max_vertices:
+        copies[rng.choice([v for v, c in enumerate(copies) if c > 1])] -= 1
+    origin = [v for v, c in enumerate(copies) for _ in range(c)]
+    adjacent = [rng.random() < 0.5 for _ in copies]
+    order = list(range(len(origin)))
+    rng.shuffle(order)
+    edges = [(order[a], order[b]) for (a, v), (b, w) in combinations(enumerate(origin), 2)
+             if (adjacent[v] if v == w else base.has_edge(v, w))]
+    return graph_from_edge_list(len(origin), edges)
+
+
 def random_total_covering(rng: random.Random, g: Graph) -> tuple[frozenset, ...]:
     """A random total clique covering whose singletons are isolated vertices."""
     pool = list(all_cliques(g, min_size=2))
