@@ -10,9 +10,8 @@ polynomial form whose structure exposes connectivity and bipartiteness.
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
 from .cliques import (all_cliques, canonical_covering, covering_from_sequence,
-                      covering_from_text, covering_to_text, irreducible_minimum_coverings,
-                      is_total_clique_covering, maximal_cliques, minimum_total_coverings,
-                      prop1_certificate, theta_t)
+                      covering_from_text, covering_to_text, is_total_clique_covering,
+                      maximal_cliques, minimum_total_coverings, prop1_certificate, theta_t)
 from .coding import (check_sequence_shape, code, coding_sequence_from_covering,
                      is_isomorphic_by_code, lambda_of, parse_sequence,
                      render_sequence, sigma_of_covering, theorem1_labels,

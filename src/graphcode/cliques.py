@@ -239,7 +239,10 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
     """
     members = [set(c) for c in covering]
     masks = [sum(1 << v for v in c) for c in covering]
-    share = _edge_shares(covering)
+    share: dict[tuple[int, int], int] = {}
+    for clique in covering:
+        for e in combinations(sorted(clique), 2):
+            share[e] = share.get(e, 0) + 1
 
     def droppable(i: int, v: int) -> bool:
         tracker.charge(len(members[i]))
@@ -273,15 +276,6 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
     walk(0)
 
 
-def _edge_shares(covering: Iterable[Clique]) -> dict[tuple[int, int], int]:
-    """How many cliques of the covering hold each edge."""
-    share: dict[tuple[int, int], int] = {}
-    for clique in covering:
-        for e in combinations(sorted(clique), 2):
-            share[e] = share.get(e, 0) + 1
-    return share
-
-
 def theta_t(g: Graph, budget: int | Budget | None = None) -> int:
     """Minimum size of a total clique covering."""
     tracker = Budget.coerce(budget)
@@ -305,26 +299,6 @@ def _total_coverings(singletons: tuple[Clique, ...], coverings: list[tuple[Cliqu
     built = [singletons + tuple(frozenset(_members(mask)) for mask in shrink) for shrink in found]
     built.sort(key=lambda cov: sorted((len(c), sorted(c)) for c in cov))
     return [canonical_covering(c) for c in built]
-
-
-def irreducible_minimum_coverings(g: Graph, budget: int | Budget | None = None,
-                                  ) -> list[Covering]:
-    """The minimum total clique coverings from which no vertex can be dropped.
-
-    Dropping a vertex from a non-singleton clique divides one label by that
-    clique's prime under every assignment, so the code is always attained
-    at one of these.  Filters minimum_total_coverings, charging 1 plus the
-    clique's size per (clique, vertex) test.
-    """
-    tracker = Budget.coerce(budget)
-    kept = []
-    for covering in minimum_total_coverings(g, tracker):
-        tracker.charge(sum(len(c) * (1 + len(c)) for c in covering if len(c) > 1))
-        share = _edge_shares(covering)
-        if not any(all(share[(v, w) if v < w else (w, v)] > 1 for w in c if w != v)
-                   for c in covering if len(c) > 1 for v in c):
-            kept.append(covering)
-    return kept
 
 
 def covering_from_sequence(entries: Sequence[int],

@@ -82,11 +82,6 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed sequence {text!r}") from None
 
 
-def _split_covering(covering: Sequence[Iterable[int]]) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    members = [frozenset(c) for c in covering]
-    return [c for c in members if len(c) == 1], [c for c in members if len(c) > 1]
-
-
 def coding_sequence_from_covering(g: Graph, covering: Sequence[Iterable[int]],
                                   assignment: Sequence[int]) -> tuple[int, ...]:
     """Sorted vertex labels under one explicit prime assignment.
@@ -97,7 +92,7 @@ def coding_sequence_from_covering(g: Graph, covering: Sequence[Iterable[int]],
     """
     if not is_total_clique_covering(g, covering):
         raise ValueError("not a total clique covering of the graph")
-    _, non_singletons = _split_covering(covering)
+    non_singletons = [c for c in map(frozenset, covering) if len(c) > 1]
     k = len(non_singletons)
     if sorted(assignment) != sorted(first_primes(k)):
         raise ValueError(f"assignment must be a permutation of the first {k} primes")
@@ -117,14 +112,17 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
     mask.  A permutation pi of the cliques that maps the multiset of
     patterns to itself is a symmetry: which vertices must share a clique
     depends on the patterns alone, so pi maps completions to completions
-    with the same labels.  Interchangeable cliques, whose swap is one, take
-    primes in index order.  Swapping a pair of twins (vertices in one of
-    the twins lists) in every clique holding one of them gives a candidate
-    pi; if it is one, the lowest clique p it moves takes a smaller prime
-    than pi(p).  Each is the constraint A <= A o pi, in clique-index order,
-    of one symmetry, so the least assignment A of each orbit under the
-    group they generate meets all of them together.  Each pair tested
-    charges one unit.
+    with the same labels.  Cliques a < b whose swap is one are
+    interchangeable, and each such pair is its own constraint
+    A[a] < A[b].  Swaps that are symmetries are closed under conjugation,
+    (a c) being (a b)(b c)(a b), so interchangeability is already
+    transitive and the pairwise masks equal those of its classes.
+    Swapping a pair of twins (vertices in one of the twins lists) in every
+    clique holding one of them gives a candidate pi; if it is one, the
+    lowest clique p it moves takes a smaller prime than pi(p).  Each is the
+    constraint A <= A o pi, in clique-index order, of one symmetry, so the
+    least assignment A of each orbit under the group they generate meets
+    all of them together.  Each pair tested charges one unit.
     """
     reference = sorted(patterns)
     both = 1 | 1 << k
@@ -133,21 +131,13 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
     # members' counts differ are never interchangeable.
     shape = [sorted(((p & low).bit_count(), p.bit_count(), p >> c & both)
                     for p in patterns if p >> c & both) for c in range(k)]
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    masks = [0] * k
     for a, b in combinations(range(k), 2):
         tracker.charge()
         pair = 1 << a | 1 << b
         if (shape[a] == shape[b]
                 and sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in patterns) == reference):
-            parent[find(b)] = find(a)
-    masks = [sum(1 << d for d in range(c) if find(d) == find(c)) for c in range(k)]
+            masks[b] |= 1 << a
     clique_at = {members: c for c, members in enumerate(cliques)}
     for group in twins:
         for u, v in combinations(group, 2):
@@ -196,8 +186,11 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     Until a first labelling is found, a node with several children
     evaluates each (its drop, primes and floors, then undo) and visits them
     in ascending order of their floors, so the first labellings are good
-    ones; a visited child reuses its evaluation and the packings computed
-    for it.  After that, children are visited in clique-index order.  A
+    ones; a visited child reuses its evaluation.  After that, children are
+    visited in clique-index order.  A packing is cached until a change to
+    its vertex's or a neighbour's memberships marks it stale.  Each change
+    trails its marks, also over marks already there, so undoing it never
+    leaves a packing computed below; a stale one is recomputed where read.  A
     node charges 1 + m + k units for its m labels and k cliques, once,
     whether its parent evaluates it or it evaluates itself; propagation and
     packing charge 1 per edge scanned, and grouping the vertices into twin
@@ -234,10 +227,10 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             array[v] = value
 
     def touch(v: int) -> None:
-        """Mark the packings that v's memberships feed as stale."""
+        """Mark the packings that v's memberships feed, and that are still read, as stale."""
         tracker.charge(1 + len(neighbours[v]))
         for w in (v, *neighbours[v]):
-            if need[w] is not None:
+            if free[w] != inside[w]:
                 put(need, w, None)
 
     def must_join(v: int) -> tuple:
@@ -396,8 +389,9 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         choices = [(block, 0, 0)]
         if not block:
             for v in ties:
-                if free[v] != inside[v] and need[v]:
-                    split(v, need[v][0][0], j, assigned)
+                if free[v] != inside[v] and (
+                        found := need[v] if need[v] is not None else must_join(v)):
+                    split(v, found[0][0], j, assigned)
                     return
             # A vertex without undecided memberships reaching mu allows every
             # completion in which another vertex does so with the same block.
@@ -414,25 +408,19 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             if not undecided or drop(w, undecided, assigned):
                 feasible = True
                 dropped = len(trail)
-                packings: list[tuple[int, tuple | None]] = []
                 for cliques, rest in choice_steps:
                     bits = label(cliques, j)
                     if pending is None:
                         descend(j + len(cliques), assigned | bits, rest)
                     else:
                         pending.append((evaluate(j + len(cliques), assigned | bits, rest),
-                                        packings, w, undecided, cliques, rest))
+                                        w, undecided, cliques, rest))
                     undo(dropped)
-                if pending is not None and undecided:
-                    # The packings the drop cleared, as its children's evaluations
-                    # recomputed them; a visit re-applies the drop and puts them back.
-                    packings += [(v, need[v]) for array, v, _ in trail[mark:dropped]
-                                 if array is need]
             if undecided:
                 undo(mark)
         if not feasible:
             split(ties[0], free[ties[0]] & ~inside[ties[0]], j, assigned)
-        for evaluation, packings, w, undecided, cliques, rest in sorted(
+        for evaluation, w, undecided, cliques, rest in sorted(
                 pending or (), key=lambda child: child[0][0]):
             if incumbent is not None and evaluation[0] >= incumbent:
                 break
@@ -440,8 +428,6 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             if undecided:
                 drop(w, undecided, assigned)
             bits = label(cliques, j)
-            for v, packed in packings:
-                put(need, v, packed)
             descend(j + len(cliques), assigned | bits, rest, evaluation)
             undo(mark)
 

@@ -12,9 +12,8 @@ from graphcode import (Budget, BudgetExceededError, all_cliques, brute_force_min
                        brute_force_theta, canonical_covering, complete_graph,
                        covering_from_sequence, covering_from_text, covering_to_text,
                        cycle_graph, empty_graph, graph_from_edge_list, independence_number,
-                       irreducible_minimum_coverings, is_total_clique_covering,
-                       maximal_cliques, minimum_total_coverings, path_graph,
-                       prop1_certificate, theta_t)
+                       is_total_clique_covering, maximal_cliques,
+                       minimum_total_coverings, path_graph, prop1_certificate, theta_t)
 
 from conftest import random_graph
 
@@ -95,30 +94,6 @@ def test_minimum_coverings_match_oracle():
         slow = covering_set(brute_force_minimum_coverings(g))
         assert fast == slow
         assert theta_t(g) == brute_force_theta(g)
-
-
-def is_irreducible(g, covering) -> bool:
-    """No vertex can leave its non-singleton clique with everything still covered."""
-    for i, clique in enumerate(covering):
-        for v in clique if len(clique) > 1 else ():
-            shrunk = covering[:i] + (clique - {v},) + covering[i + 1:]
-            if is_total_clique_covering(g, shrunk):
-                return False
-    return True
-
-
-def test_irreducible_coverings_are_the_minimal_minimum_ones():
-    rng = random.Random(41)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.95))
-        expected = [c for c in minimum_total_coverings(g) if is_irreducible(g, c)]
-        assert irreducible_minimum_coverings(g) == expected
-
-
-def test_witness_has_one_irreducible_covering(witness_graph):
-    # {0,1,2} can lose vertex 2: its edges to 0 and 1 lie in the other two cliques.
-    (covering,) = irreducible_minimum_coverings(witness_graph)
-    assert set(covering) == {frozenset({0, 1}), frozenset({0, 2, 3}), frozenset({1, 2, 4})}
 
 
 def test_singletons_appear_exactly_for_isolated_vertices():
