@@ -9,9 +9,9 @@ polynomial form whose structure exposes connectivity and bipartiteness.
 """
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
-from .cliques import (all_cliques, canonical_covering, covering_from_sequence,
-                      covering_from_text, covering_to_text, is_total_clique_covering,
-                      maximal_cliques, minimum_total_coverings, prop1_certificate, theta_t)
+from .cliques import (canonical_covering, covering_from_sequence, covering_from_text,
+                      covering_to_text, is_total_clique_covering, maximal_cliques,
+                      minimum_total_coverings, prop1_certificate, theta_t)
 from .coding import (check_sequence_shape, code, coding_sequence_from_covering,
                      is_isomorphic_by_code, lambda_of, parse_sequence,
                      render_sequence, sigma_of_covering, theorem1_labels,
@@ -26,7 +26,7 @@ from .graphs import (Graph, LabeledGraph, apply_permutation, complete_graph,
                      isolated_vertices, path_graph, random_graph, realize_sequence,
                      two_coloring)
 from .oracle import (ORACLE_COVER_MAX_VERTICES, ORACLE_MAX_VERTICES, OracleReport,
-                     all_labeled_graphs, brute_force_code, brute_force_isomorphic,
+                     all_cliques, all_labeled_graphs, brute_force_code, brute_force_isomorphic,
                      brute_force_minimum_coverings, brute_force_sigma_of_covering,
                      brute_force_theta)
 from .primes import (divisors_above_one, factorize, first_primes, is_square_free,

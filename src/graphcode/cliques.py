@@ -18,7 +18,7 @@ coding picks them itself and never lists them.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .budget import Budget
 from .graphs import Graph
@@ -63,27 +63,6 @@ def _members(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def all_cliques(g: Graph, min_size: int = 1) -> Iterator[Clique]:
-    """Every clique of size >= min_size, each exactly once.
-
-    Cliques grow by appending higher-indexed common neighbors, so the
-    stream is deterministic.
-    """
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    rows = g.rows
-
-    def extend(base: tuple[int, ...], candidates: int) -> Iterator[Clique]:
-        for v in _members(candidates):
-            grown = base + (v,)
-            if len(grown) >= min_size:
-                yield frozenset(grown)
-            candidates ^= 1 << v
-            yield from extend(grown, candidates & rows[v])
-
-    yield from extend((), (1 << g.vertex_count) - 1)
 
 
 def is_total_clique_covering(g: Graph, cliques: Sequence[Iterable[int]]) -> bool:
@@ -292,13 +271,19 @@ def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> lis
 def _total_coverings(singletons: tuple[Clique, ...], coverings: list[tuple[Clique, ...]],
                      tracker: Budget) -> list[Covering]:
     """Every shrink of the least maximal-clique coverings, with the isolated
-    vertices' singletons, canonically ordered and deduplicated."""
+    vertices' singletons, canonically ordered and deduplicated.
+
+    Each distinct clique is built once, and ranked in canonical order, so
+    sorting a covering's ranks orders its cliques and the coverings too."""
     found: set[tuple[int, ...]] = set()
     for covering in coverings:
         _shrinks(covering, tracker, found)
-    built = [singletons + tuple(frozenset(_members(mask)) for mask in shrink) for shrink in found]
-    built.sort(key=lambda cov: sorted((len(c), sorted(c)) for c in cov))
-    return [canonical_covering(c) for c in built]
+    distinct = sorted({mask for shrink in found for mask in shrink},
+                      key=lambda mask: (mask.bit_count(), _members(mask)))
+    rank = {mask: r for r, mask in enumerate(distinct)}
+    cliques = [frozenset(_members(mask)) for mask in distinct]
+    ranked = sorted(sorted(rank[mask] for mask in shrink) for shrink in found)
+    return [singletons + tuple(cliques[r] for r in shrink) for shrink in ranked]
 
 
 def covering_from_sequence(entries: Sequence[int],

@@ -183,18 +183,20 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     A block's last two cliques take theirs in one step: the node between
     would have one child and floors no higher.
 
-    Until a first labelling is found, a node with several children
-    evaluates each (its drop, primes and floors, then undo) and visits them
-    in ascending order of their floors, so the first labellings are good
-    ones; a visited child reuses its evaluation.  After that, children are
-    visited in clique-index order.  A packing is cached until a change to
-    its vertex's or a neighbour's memberships marks it stale.  Each change
-    trails its marks, also over marks already there, so undoing it never
-    leaves a packing computed below; a stale one is recomputed where read.  A
-    node charges 1 + m + k units for its m labels and k cliques, once,
-    whether its parent evaluates it or it evaluates itself; propagation and
-    packing charge 1 per edge scanned, and grouping the vertices into twin
-    classes 1 per vertex.
+    One rule visits the children of every node.  A membership split
+    visits its two in place, leaving first.  Any other node with two or
+    more choices or children evaluates each child (its drop, primes and
+    floors, then undo; siblings apply a shared drop once) and visits them
+    in ascending order of their floors, stopping at the first that reaches
+    the incumbent, so good labellings come early and cut the rest; a
+    visited child reuses its evaluation.  A packing is cached until a
+    change to its vertex's or a neighbour's memberships marks it stale.
+    Each change trails its marks, also over marks already there, so undoing
+    it never leaves a packing computed below; a stale one is recomputed
+    where read.  A node charges 1 + m + k units for its m labels and k
+    cliques, once, whether its parent evaluates it or it evaluates itself;
+    propagation and packing charge 1 per edge scanned, and grouping the
+    vertices into twin classes 1 per vertex.
     """
     ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
     vertices = sorted({v for c in ordered for v in c})
@@ -255,9 +257,11 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             put(products, v, products[v] * prime_of[bit.bit_length() - 1])
         touch(v)
 
-    def drop(v: int, bits: int, assigned: int) -> bool:
+    def drop(v: int, bits: int, assigned: int) -> None:
         """Take v out of the cliques in bits and force every edge left with
-        one possible holder; False when some edge is left with none."""
+        one possible holder.  An edge no IN clique holds keeps two or more,
+        and the search drops only memberships that leave each one at least
+        one, so no edge is ever left with none."""
         put(free, v, free[v] & ~bits)
         touch(v)
         tracker.charge(1 + len(neighbours[v]))
@@ -265,13 +269,10 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             if not pattern[w] & bits or inside[v] & inside[w]:
                 continue
             holders = free[v] & free[w]
-            if not holders:
-                return False
             if not holders & (holders - 1):
                 for x in (v, w):
                     if not inside[x] & holders:
                         join(x, holders, assigned)
-        return True
 
     if fold:
         for v in range(m):
@@ -308,17 +309,6 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         spare = min(extra, width - inner)
         return (value * suffix[j][inner + spare]
                 * suffix[j + width][(opened & ~block).bit_count() + extra - spare])
-
-    def split(v: int, options: int, j: int, assigned: int) -> None:
-        """Branch on v leaving, then joining, the lowest-indexed clique in options."""
-        bit = options & -options
-        mark = len(trail)
-        if drop(v, bit, assigned):
-            descend(j, assigned, 0)
-        undo(mark)
-        join(v, bit, assigned)
-        descend(j, assigned, 0)
-        undo(mark)
 
     def evaluate(j: int, assigned: int, block: int) -> tuple[tuple[int, ...], list[int]]:
         """Charge one node; its sorted floors and its least-floor vertices."""
@@ -386,49 +376,49 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         if not ties:
             incumbent = floor
             return
-        choices = [(block, 0, 0)]
-        if not block:
-            for v in ties:
-                if free[v] != inside[v] and (
-                        found := need[v] if need[v] is not None else must_join(v)):
-                    split(v, found[0][0], j, assigned)
-                    return
+        # Each choice is (vertex, memberships, drop or join, steps).  A
+        # least-floor vertex with something to join splits the node: it leaves,
+        # then joins, the lowest possible holder of its first packed edge.
+        u = None
+        for v in () if block else ties:
+            if free[v] != inside[v] and (need[v] if need[v] is not None else must_join(v)):
+                u = v
+                break
+        if block:
+            choices = [(0, 0, drop, steps(block, assigned))]
+        elif u is not None:
+            bit = need[u][0][0] & -need[u][0][0]
+            choices = [(u, bit, act, [((), 0)]) for act in (drop, join)]
+        else:
             # A vertex without undecided memberships reaching mu allows every
             # completion in which another vertex does so with the same block.
             done = [inside[w] & ~assigned for w in ties if free[w] == inside[w]]
-            choices = [(opened, 0, 0) for opened in dict.fromkeys(done)]
-            choices += [(inside[w] & ~assigned, w, free[w] & ~inside[w]) for w in ties
-                        if free[w] != inside[w] and inside[w] & ~assigned not in done]
-        per_choice = [steps(chosen, assigned) for chosen, _, _ in choices]
-        # Until a first labelling is found, visit the children in floor order.
-        pending = [] if incumbent is None and sum(map(len, per_choice)) > 1 else None
-        feasible = False
-        for (_, w, undecided), choice_steps in zip(choices, per_choice):
+            choices = [(0, 0, drop, steps(opened, assigned)) for opened in dict.fromkeys(done)]
+            choices += [(w, free[w] & ~inside[w], drop, steps(inside[w] & ~assigned, assigned))
+                        for w in ties if free[w] != inside[w] and inside[w] & ~assigned not in done]
+        pending = [] if u is None and (len(choices) > 1 or len(choices[0][3]) > 1) else None
+        for w, bits, act, choice_steps in choices:
             mark = len(trail)
-            if not undecided or drop(w, undecided, assigned):
-                feasible = True
-                dropped = len(trail)
-                for cliques, rest in choice_steps:
-                    bits = label(cliques, j)
-                    if pending is None:
-                        descend(j + len(cliques), assigned | bits, rest)
-                    else:
-                        pending.append((evaluate(j + len(cliques), assigned | bits, rest),
-                                        w, undecided, cliques, rest))
-                    undo(dropped)
-            if undecided:
-                undo(mark)
-        if not feasible:
-            split(ties[0], free[ties[0]] & ~inside[ties[0]], j, assigned)
-        for evaluation, w, undecided, cliques, rest in sorted(
-                pending or (), key=lambda child: child[0][0]):
+            if bits:
+                act(w, bits, assigned)
+            applied = len(trail)
+            for cliques, rest in choice_steps:
+                after = assigned | label(cliques, j)
+                if pending is None:
+                    descend(j + len(cliques), after, rest)
+                else:
+                    pending.append((evaluate(j + len(cliques), after, rest),
+                                    w, bits, cliques, rest))
+                undo(applied)
+            undo(mark)
+        for evaluation, w, bits, cliques, rest in sorted(pending or (),
+                                                          key=lambda child: child[0][0]):
             if incumbent is not None and evaluation[0] >= incumbent:
                 break
             mark = len(trail)
-            if undecided:
-                drop(w, undecided, assigned)
-            bits = label(cliques, j)
-            descend(j + len(cliques), assigned | bits, rest, evaluation)
+            if bits:
+                drop(w, bits, assigned)
+            descend(j + len(cliques), assigned | label(cliques, j), rest, evaluation)
             undo(mark)
 
     descend(0, 0, 0)

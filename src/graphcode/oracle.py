@@ -81,10 +81,14 @@ def brute_force_isomorphic(g1: Graph, g2: Graph,
     return OracleReport(witness is not None, witness, nodes)
 
 
-def _naive_cliques(g: Graph) -> list[frozenset[int]]:
-    """Every clique, by checking all vertex subsets for pairwise adjacency."""
+def all_cliques(g: Graph, min_size: int = 1) -> list[frozenset[int]]:
+    """Every clique of at least min_size vertices, by checking all vertex
+    subsets for pairwise adjacency."""
+    _check_size(g, ORACLE_MAX_VERTICES)
+    if min_size < 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
     cliques = []
-    for size in range(1, g.vertex_count + 1):
+    for size in range(min_size, g.vertex_count + 1):
         for subset in combinations(g.vertices(), size):
             if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
                 cliques.append(frozenset(subset))
@@ -105,7 +109,7 @@ def brute_force_minimum_coverings(g: Graph, budget: int | Budget | None = None,
     if g.vertex_count == 0:
         raise ValueError("coverings need at least one vertex")
     tracker = Budget.coerce(budget)
-    cliques = _naive_cliques(g)
+    cliques = all_cliques(g)
     for size in range(1, len(cliques) + 1):
         found = []
         for combo in combinations(cliques, size):

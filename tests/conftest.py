@@ -72,7 +72,7 @@ def random_blow_up(rng: random.Random, max_vertices: int = 9) -> Graph:
 
 def random_total_covering(rng: random.Random, g: Graph) -> tuple[frozenset, ...]:
     """A random total clique covering whose singletons are isolated vertices."""
-    pool = list(all_cliques(g, min_size=2))
+    pool = sorted(all_cliques(g, min_size=2), key=sorted)
     chosen = {frozenset({v}) for v in isolated_vertices(g)}
     for u, v in g.sorted_edges():
         containing = [c for c in pool if u in c and v in c]

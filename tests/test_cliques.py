@@ -15,7 +15,7 @@ from graphcode import (Budget, BudgetExceededError, all_cliques, brute_force_min
                        is_total_clique_covering, maximal_cliques,
                        minimum_total_coverings, path_graph, prop1_certificate, theta_t)
 
-from conftest import random_graph
+from conftest import random_blow_up, random_graph
 
 
 def covering_set(coverings):
@@ -187,6 +187,21 @@ def test_covering_listing_memory_stays_small_under_budget():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 10 ** 6
+
+
+def test_covering_listing_builds_each_clique_once():
+    # 15,193 minimum coverings share a few dozen distinct cliques.  Building
+    # a frozenset per clique of every covering, then ordering each covering
+    # a second time, peaked at about 51 MB.
+    g = random_blow_up(random.Random(110), 9)
+    tracemalloc.start()
+    try:
+        coverings = minimum_total_coverings(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coverings) == 15_193
+    assert peak < 16 * 10 ** 6
 
 
 def test_covering_members_are_essential():

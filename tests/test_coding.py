@@ -161,9 +161,9 @@ def test_sparse_graph_label_search_stays_in_budget():
 
 
 def test_label_search_finds_sigma_before_proving_it():
-    # Visiting the children of the first dive in floor order reaches a good
-    # labelling early: in clique-index order these took 811,804, 307,548 and
-    # 17,878 units, most of them spent before the first good labelling.
+    # Visiting children in floor order reaches a good labelling early: in
+    # clique-index order these took 811,804, 307,548 and 17,878 units, most
+    # of them spent before the first good labelling.
     sparse = {(16, 0): (2, 15, 77, 221, 1311, 33263, 51127, 72239, 557845, 1365259, 4054201,
                         7985347, 64821589, 412424309, 727771018, 31135901149),
               (18, 2): (6, 35, 286, 3553, 10005, 19499, 82861, 128207, 215086, 267665,
@@ -180,6 +180,29 @@ def test_label_search_finds_sigma_before_proving_it():
     # that computed it reuse it; dropping it with that node took 113,690 units.
     dense = k10_minus((0, 1), (0, 3), (0, 8), (1, 7), (4, 9))
     assert code(dense, budget=10 ** 5) == (6, 6, 6, 10, 10, 14, 21, 22, 105, 165)
+    # Graph 162 of the pool for seed 41, G(18, 0.3), and graph 202 of the
+    # pool for seed 52, G(16, 0.5).  Ordering the children of the first dive
+    # alone, not of every node, they took 137,619 and 174,604 units.
+    pool_41_162 = graph_from_edge_list(18, [
+        (0, 7), (0, 15), (1, 2), (1, 5), (1, 11), (1, 14), (2, 4), (2, 5), (2, 7), (2, 11),
+        (2, 15), (2, 17), (3, 6), (3, 9), (3, 12), (3, 14), (3, 17), (4, 7), (4, 10),
+        (4, 13), (4, 16), (5, 9), (5, 10), (5, 13), (6, 7), (6, 12), (6, 13), (6, 14),
+        (7, 8), (7, 13), (7, 16), (8, 13), (8, 15), (8, 17), (9, 11), (9, 14), (9, 17),
+        (10, 15), (10, 16), (10, 17), (11, 13), (11, 14), (12, 15), (12, 17), (14, 16)])
+    assert code(pool_41_162, budget=10 ** 5) == (
+        6, 35, 2431, 2717, 7337, 19499, 33046, 82861, 134461, 253394, 409457, 819957,
+        16801795, 34965493, 106892679, 117424223, 420900229, 474601133)
+    pool_52_202 = graph_from_edge_list(16, [
+        (0, 1), (0, 2), (0, 7), (0, 8), (0, 9), (0, 10), (0, 13), (0, 14), (0, 15), (1, 4),
+        (1, 5), (1, 6), (1, 7), (1, 9), (1, 13), (1, 14), (1, 15), (2, 3), (2, 5), (2, 6),
+        (2, 7), (2, 8), (2, 14), (2, 15), (3, 4), (3, 7), (3, 9), (3, 12), (3, 13), (3, 14),
+        (4, 6), (4, 9), (4, 11), (4, 13), (5, 8), (5, 10), (5, 11), (5, 12), (6, 7), (6, 10),
+        (6, 12), (6, 14), (7, 9), (7, 10), (7, 14), (7, 15), (8, 10), (8, 11), (8, 13),
+        (8, 15), (9, 10), (9, 11), (9, 12), (9, 13), (9, 14), (10, 13), (10, 14), (11, 12),
+        (11, 13), (12, 13), (12, 15), (13, 15), (14, 15)])
+    assert code(pool_52_202, budget=10 ** 5) == (
+        30, 42, 286, 935, 5681, 17081, 43993, 81141, 81141, 167485, 184334, 389459, 725351,
+        884065, 1647929, 16343913)
 
 
 def complete_bipartite(a: int, b: int):
