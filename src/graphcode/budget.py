@@ -21,15 +21,20 @@ class BudgetExceededError(RuntimeError):
 
 
 class Budget:
-    """Mutable work counter shared across the phases of one operation."""
+    """Mutable work counter shared across the phases of one operation.
 
-    __slots__ = ("limit", "used")
+    It also remembers the operation's completed factorizations (see
+    primes.factorize), so no outcome depends on what ran before.
+    """
+
+    __slots__ = ("limit", "used", "factorizations")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         if limit < 1:
             raise ValueError(f"budget must be >= 1, got {limit}")
         self.limit = limit
         self.used = 0
+        self.factorizations: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def charge(self, amount: int = 1) -> None:
         self.used += amount

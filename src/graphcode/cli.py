@@ -192,71 +192,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Canonical codes and polynomial forms for simple graphs "
                     "via minimum total clique coverings.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        help="emit a single JSON object instead of text")
+    common.add_argument("--budget", type=int, default=None, metavar="UNITS",
+                        help=f"search budget in units of work (default {DEFAULT_BUDGET}, "
+                             f"or ${BUDGET_ENV_VAR})")
+    common.add_argument("--format", choices=["auto", "edge-list", "dimacs", "graph6"],
+                        default="auto", help="input graph format (default: auto)")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true",
-                       help="emit a single JSON object instead of text")
-        p.add_argument("--budget", type=int, default=None, metavar="UNITS",
-                       help=f"search budget in units of work (default {DEFAULT_BUDGET}, "
-                            f"or ${BUDGET_ENV_VAR})")
-        p.add_argument("--format", choices=["auto", "edge-list", "dimacs", "graph6"],
-                       default="auto", help="input graph format (default: auto)")
+    def command(name, run, help, *graph_args):
+        p = sub.add_parser(name, help=help, parents=[common])
+        for arg in graph_args:
+            p.add_argument(arg)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("code", help="canonical code of a graph")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(run=_cmd_code)
-
-    p = sub.add_parser("poly", help="canonical polynomial of a graph")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(run=_cmd_poly)
-
-    p = sub.add_parser("theta", help="minimum total clique covering size")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(run=_cmd_theta)
-
-    p = sub.add_parser("covers", help="all minimum total clique coverings")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(run=_cmd_covers)
-
-    p = sub.add_parser("iso", help="decide isomorphism by code")
-    p.add_argument("graph1")
-    p.add_argument("graph2")
+    command("code", _cmd_code, "canonical code of a graph", "graph")
+    command("poly", _cmd_poly, "canonical polynomial of a graph", "graph")
+    command("theta", _cmd_theta, "minimum total clique covering size", "graph")
+    command("covers", _cmd_covers, "all minimum total clique coverings", "graph")
+    p = command("iso", _cmd_iso, "decide isomorphism by code", "graph1", "graph2")
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force oracle and compare")
-    common(p)
-    p.set_defaults(run=_cmd_iso)
-
-    p = sub.add_parser("divisor", help="divisor graph of n with its polynomial")
+    p = command("divisor", _cmd_divisor, "divisor graph of n with its polynomial")
     p.add_argument("n", type=int)
     p.add_argument("--closed-form", action="store_true",
                    help="use the closed form instead of the full pipeline")
-    common(p)
-    p.set_defaults(run=_cmd_divisor)
-
-    p = sub.add_parser("realize", help="graph realized by an integer sequence")
+    p = command("realize", _cmd_realize, "graph realized by an integer sequence")
     p.add_argument("--sequence", required=True, metavar="a1,a2,...",
                    help='entries, e.g. "2,3,10,15"')
-    common(p)
-    p.set_defaults(run=_cmd_realize)
-
-    p = sub.add_parser("gen", help="generate a named graph family member")
+    p = command("gen", _cmd_gen, "generate a named graph family member")
     p.add_argument("--family", required=True,
                    choices=["complete", "path", "cycle", "empty"])
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--closed-form", action="store_true",
                    help="also print the known code and polynomial")
-    common(p)
-    p.set_defaults(run=_cmd_gen)
-
-    p = sub.add_parser("verify", help="run the invariant suite on a graph")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(run=_cmd_verify)
-
+    command("verify", _cmd_verify, "run the invariant suite on a graph", "graph")
     return parser
 
 

@@ -70,17 +70,16 @@ def is_total_clique_covering(g: Graph, cliques: Sequence[Iterable[int]]) -> bool
     members = [frozenset(c) for c in cliques]
     if len(set(members)) != len(members):
         return False
-    for clique in members:
-        if not clique:
-            return False
-        if not all(0 <= v < g.vertex_count for v in clique):
-            return False
-        if not all(g.has_edge(u, v) for u, v in combinations(sorted(clique), 2)):
-            return False
-    covered = set().union(*members) if members else set()
-    if covered != set(g.vertices()):
+    if not all(clique and all(0 <= v < g.vertex_count for v in clique) for clique in members):
         return False
-    return all(any(u in c and v in c for c in members) for u, v in g.sorted_edges())
+    reach = [0] * g.vertex_count
+    for clique in members:
+        mask = sum(1 << v for v in clique)
+        for v in clique:
+            if mask & ~g.rows[v] != 1 << v:
+                return False
+            reach[v] |= mask
+    return all(held and not row & ~held for row, held in zip(g.rows, reach))
 
 
 def canonical_covering(cliques: Iterable[Iterable[int]]) -> Covering:
@@ -210,27 +209,22 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
 
     covering is a least edge covering M_1..M_k by maximal cliques, so no
     S_i can fall below two vertices.  Vertices are dropped one (clique,
-    vertex) item at a time while every edge stays covered; only items whose
-    whole star in M_i lies in other cliques too can ever go.  Each shrink
-    goes into found as the sorted tuple of its cliques' vertex bitmasks.
-    Each drop test charges 1 plus the star it checks, and each shrink kept
-    1 per clique.
+    vertex) item at a time while every edge stays covered: v may leave S_i
+    when the other current cliques that hold v hold all of S_i.  Cliques
+    only shrink, so an item that fails this on the M_i never passes.  Each
+    shrink goes into found as the sorted tuple of its cliques' vertex
+    bitmasks.  Each drop test charges |S_i|, and each shrink kept 1 per
+    clique.
     """
-    members = [set(c) for c in covering]
     masks = [sum(1 << v for v in c) for c in covering]
-    share: dict[tuple[int, int], int] = {}
-    for clique in covering:
-        for e in combinations(sorted(clique), 2):
-            share[e] = share.get(e, 0) + 1
 
     def droppable(i: int, v: int) -> bool:
-        tracker.charge(len(members[i]))
-        return all(share[(v, w) if v < w else (w, v)] > 1 for w in members[i] if w != v)
-
-    def shift(i: int, v: int, step: int) -> None:
-        for w in members[i]:
-            if w != v:
-                share[(v, w) if v < w else (w, v)] += step
+        tracker.charge(masks[i].bit_count())
+        held = 0
+        for j, mask in enumerate(masks):
+            if j != i and mask >> v & 1:
+                held |= mask
+        return not masks[i] & ~held
 
     items = sorted(((i, v) for i, clique in enumerate(covering) for v in clique
                     if droppable(i, v)), key=lambda item: (item[1], item[0]))
@@ -243,13 +237,9 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
             found.add(tuple(sorted(masks)))
             return
         i, v = items[t]
-        shift(i, v, -1)
-        members[i].remove(v)
         masks[i] ^= 1 << v
         walk(t + 1)
         masks[i] ^= 1 << v
-        members[i].add(v)
-        shift(i, v, 1)
         walk(t + 1)
 
     walk(0)

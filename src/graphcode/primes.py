@@ -42,24 +42,20 @@ def first_primes(k: int) -> tuple[int, ...]:
     return tuple(_PRIMES[:k])
 
 
-# Completed factorizations, oldest first; a bounded memo, not an LRU.
-_FACTORIZATIONS: dict[int, tuple[tuple[int, int], ...]] = {}
-_FACTORIZATIONS_MAX = 4096
-
-
 def factorize(x: int, budget: int | Budget | None = None) -> tuple[tuple[int, int], ...]:
     """Prime factorization of x >= 1 as ((prime, exponent), ...) ascending.
 
     Trial division charges one budget unit per divisor tried, so an entry
     with two large prime factors raises BudgetExceededError instead of
-    running for minutes.  Only completed factorizations are remembered.
+    running for minutes.  The budget remembers completed factorizations,
+    each of which cost it a unit unless x <= 3, for the rest of its operation.
     """
     if x < 1:
         raise ValueError(f"cannot factorize {x}")
-    known = _FACTORIZATIONS.get(x)
+    tracker = Budget.coerce(budget)
+    known = tracker.factorizations.get(x)
     if known is not None:
         return known
-    tracker = Budget.coerce(budget)
     factors = []
     rest = x
     d = 2
@@ -74,9 +70,7 @@ def factorize(x: int, budget: int | Budget | None = None) -> tuple[tuple[int, in
         d += 1 if d == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    if len(_FACTORIZATIONS) >= _FACTORIZATIONS_MAX:
-        del _FACTORIZATIONS[next(iter(_FACTORIZATIONS))]
-    result = _FACTORIZATIONS[x] = tuple(factors)
+    result = tracker.factorizations[x] = tuple(factors)
     return result
 
 

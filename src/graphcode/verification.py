@@ -44,10 +44,11 @@ def _map_covering_through_sort(g: Graph, covering, assignment) -> set[frozenset[
     return {frozenset(position[v] for v in c) for c in covering}
 
 
-def covering_round_trip_check(g: Graph, covering, assignment) -> bool:
+def covering_round_trip_check(g: Graph, covering, assignment,
+                              budget: int | Budget | None = None) -> bool:
     """covering_from_sequence inverts coding_sequence_from_covering."""
     sequence = coding_sequence_from_covering(g, covering, assignment)
-    rebuilt = set(covering_from_sequence(sequence))
+    rebuilt = set(covering_from_sequence(sequence, budget))
     expected = _map_covering_through_sort(g, covering, assignment)
     return rebuilt == expected
 
@@ -88,7 +89,11 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     theta = len(coverings[0])
     isolated = isolated_vertices(g)
 
-    ok = all(is_total_clique_covering(g, c) and len(c) == theta for c in coverings)
+    def covers(cliques) -> bool:
+        tracker.charge(g.vertex_count + sum(len(c) for c in cliques))
+        return is_total_clique_covering(g, cliques)
+
+    ok = all(covers(c) and len(c) == theta for c in coverings)
     results.append(CheckResult("minimum coverings are valid and sized theta_t", ok,
                                f"theta_t={theta}, coverings={len(coverings)}"))
 
@@ -96,7 +101,7 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     results.append(CheckResult("singletons in minimum coverings are the isolated vertices", ok))
 
     def essential(cov) -> bool:
-        return all(not is_total_clique_covering(g, [c for c in cov if c is not dropped])
+        return all(not covers([c for c in cov if c is not dropped])
                    for dropped in cov)
     ok = all(essential(cov) for cov in coverings)
     results.append(CheckResult("every clique in a minimum covering is essential", ok))
@@ -107,7 +112,8 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     results.append(CheckResult("theta_t = primes(lambda(code)) + isolated count", ok,
                                f"code={sigma}"))
 
-    ok = all(covering_round_trip_check(g, cov, first_primes(sum(1 for c in cov if len(c) > 1)))
+    ok = all(covering_round_trip_check(g, cov, first_primes(sum(1 for c in cov if len(c) > 1)),
+                                       tracker)
              for cov in coverings)
     results.append(CheckResult("covering -> sequence -> covering round trip", ok))
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from graphcode import apply_permutation, cycle_graph, path_graph, render_edge_list
-from graphcode.cli import BUDGET_ENV_VAR, main
+from graphcode import cli
+from graphcode.cli import BUDGET_ENV_VAR, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "example1.edges")
@@ -216,6 +217,31 @@ def test_verify_golden_json(capsys):
     status, out, _ = run_cli(capsys, "verify", "--json", EXAMPLE)
     assert status == 0
     assert out == VERIFY_EXAMPLE_JSON
+
+
+@pytest.mark.parametrize("argv, run", [
+    (["code", "g"], cli._cmd_code),
+    (["poly", "g"], cli._cmd_poly),
+    (["theta", "g"], cli._cmd_theta),
+    (["covers", "g"], cli._cmd_covers),
+    (["iso", "g1", "g2"], cli._cmd_iso),
+    (["divisor", "12"], cli._cmd_divisor),
+    (["realize", "--sequence", "2,3,6"], cli._cmd_realize),
+    (["gen", "--family", "path", "--n", "3"], cli._cmd_gen),
+    (["verify", "g"], cli._cmd_verify),
+])
+def test_every_subcommand_takes_the_shared_options(argv, run):
+    args = build_parser().parse_args([*argv, "--json", "--budget", "7", "--format", "graph6"])
+    assert (args.json, args.budget, args.format, args.run) == (True, 7, "graph6", run)
+
+
+def test_budget_outcome_does_not_depend_on_earlier_calls(capsys):
+    # Factoring 200000014 completes within 5,000 units; the rest of the
+    # command does not, and must not get the factorization for free later.
+    for _ in range(2):
+        status, _, err = run_cli(capsys, "divisor", "200000014", "--budget", "5000")
+        assert status == 2
+        assert "node budget" in err
 
 
 def test_budget_flag_exceeded(capsys):

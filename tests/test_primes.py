@@ -7,8 +7,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from graphcode import (Budget, BudgetExceededError, DEFAULT_BUDGET, divisors_above_one,
-                       factorize, first_primes, is_square_free, nth_prime, prime_support)
+from graphcode import (Budget, BudgetExceededError, DEFAULT_BUDGET, check_sequence_shape,
+                       divisors_above_one, factorize, first_primes, is_square_free, nth_prime,
+                       prime_support)
 
 
 def test_nth_prime_values():
@@ -68,6 +69,16 @@ def test_unfinished_factorization_is_not_remembered():
     tracker = Budget(10 ** 6)
     assert factorize(x, tracker) == ((1_000_003, 1), (1_000_033, 1))
     assert tracker.used > 1_000
+
+
+def test_factorizations_are_remembered_within_one_budget_only():
+    # x needs about 5 * 10^5 trial divisors; a completed factorization under
+    # another budget must not let a 1,000-unit shape check through.
+    x = 2 * 1_000_003 * 1_000_033
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            check_sequence_shape((x, x), budget=1_000)
+        assert factorize(x, 10 ** 7) == ((2, 1), (1_000_003, 1), (1_000_033, 1))
 
 
 def test_prime_support_and_square_free():

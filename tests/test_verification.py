@@ -6,14 +6,14 @@ import random
 import sys
 
 import graphcode.cliques
-from graphcode import (CheckResult, check_divisor_graph_polynomial, complete_graph,
+from graphcode import (Budget, CheckResult, check_divisor_graph_polynomial, complete_graph,
                        covering_round_trip_check, cycle_graph, empty_graph,
                        first_primes, minimum_total_coverings, path_graph,
                        run_invariant_suite, theta_divisor_graph_check,
                        theta_lambda_consistency)
 from graphcode.cli import main
 
-from conftest import random_assignment, random_graph, random_total_covering
+from conftest import random_assignment, random_blow_up, random_graph, random_total_covering
 
 
 def suite_passes(g) -> bool:
@@ -71,6 +71,21 @@ def test_theta_divisor_graph_check_values():
 def test_check_divisor_graph_polynomial_values():
     for n in (2, 12, 30, 60, 97, 100):
         assert check_divisor_graph_polynomial(n)
+
+
+def test_suite_charges_its_covering_tests():
+    g = random_blow_up(random.Random(27), 9)
+    coverings = minimum_total_coverings(g)
+    assert (len(coverings), len(coverings[0])) == (307, 6)
+    # Each covering is tested once whole and once per dropped clique, and
+    # each test charges 1 per vertex plus 1 per clique member.
+    floor = 0
+    for cov in coverings:
+        members = sum(len(c) for c in cov)
+        floor += (len(cov) + 1) * (g.vertex_count + members) - members
+    tracker = Budget()
+    assert all(r.passed for r in run_invariant_suite(g, tracker))
+    assert tracker.used >= floor
 
 
 def test_suite_mentions_code_detail(example_graph):
