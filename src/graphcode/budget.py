@@ -24,10 +24,11 @@ class Budget:
     """Mutable work counter shared across the phases of one operation.
 
     It also remembers the operation's completed factorizations (see
-    primes.factorize), so no outcome depends on what ran before.
-    """
+    primes.factorize) and each graph's complete listing of least maximal
+    coverings, which code, theta_t, minimum_total_coverings and verify then
+    read; no outcome depends on what ran under another budget."""
 
-    __slots__ = ("limit", "used", "factorizations")
+    __slots__ = ("limit", "used", "factorizations", "coverings")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         if limit < 1:
@@ -35,6 +36,7 @@ class Budget:
         self.limit = limit
         self.used = 0
         self.factorizations: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.coverings: dict = {}
 
     def charge(self, amount: int = 1) -> None:
         self.used += amount

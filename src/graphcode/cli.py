@@ -17,7 +17,7 @@ from .cliques import covering_to_text, minimum_total_coverings
 from .coding import code, parse_sequence, render_sequence
 from .graph_io import load_graph, render_edge_list
 from .graphs import divisor_graph, generate_family, realize_sequence
-from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
+from .oracle import brute_force_isomorphic
 from .polynomials import (canonical_polynomial, closed_form_family,
                           divisor_graph_polynomial_closed_form)
 from .verification import run_invariant_suite

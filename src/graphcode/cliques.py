@@ -102,9 +102,12 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     share no allowed candidate (each of them needs a clique of its own).
     Indexing charges one unit per (clique, edge) pair, and every node 1
     plus the uncovered edges it scans.  Returns every least covering when
-    find_all is set and one witness otherwise; an edgeless graph has the
-    single empty covering.
+    find_all is set, and remembers them in the budget, whose listing every
+    later call on g reads; otherwise it returns at least one witness.  An
+    edgeless graph has the single empty covering, remembered likewise.
     """
+    if g in tracker.coverings:
+        return tracker.coverings[g]
     if g.vertex_count == 0:
         raise ValueError("coverings need at least one vertex")
     maximal = maximal_cliques(g, tracker)
@@ -112,7 +115,8 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     cliques = sorted((c for c in maximal if len(c) > 1), key=lambda c: (-len(c), sorted(c)))
     edges = g.sorted_edges()
     if not edges:
-        return singletons, [()]
+        tracker.coverings[g] = singletons, [()]
+        return tracker.coverings[g]
     tracker.charge(sum(len(c) * (len(c) - 1) // 2 for c in cliques))
     # Edge bits run from the fewest candidate cliques to the most, so the
     # greedy packing below meets the most constrained edges first.
@@ -122,13 +126,10 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
             candidates[e] |= 1 << j
     edges.sort(key=lambda e: candidates[e].bit_count())
     allowed_by_bit = [candidates[e] for e in edges]
-    bit_of = {e: i for i, e in enumerate(edges)}
-    covers = []
-    for clique in cliques:
-        mask = 0
-        for e in combinations(sorted(clique), 2):
-            mask |= 1 << bit_of[e]
-        covers.append(mask)
+    covers = [0] * len(cliques)
+    for i, allowed in enumerate(allowed_by_bit):
+        for j in _members(allowed):
+            covers[j] |= 1 << i
     found: list[tuple[int, ...]] = []
 
     def scan(uncovered: int, forbidden: int) -> tuple[int, int]:
@@ -201,7 +202,10 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     depth = scan(uncovered, 0)[0] if uncovered else 0
     while not descend(uncovered, 0, forced, depth):
         depth += 1
-    return singletons, [tuple(cliques[j] for j in chosen) for chosen in found]
+    result = singletons, [tuple(cliques[j] for j in chosen) for chosen in found]
+    if find_all:
+        tracker.coverings[g] = result
+    return result
 
 
 def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int, ...]]) -> None:
@@ -248,23 +252,19 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
 def theta_t(g: Graph, budget: int | Budget | None = None) -> int:
     """Minimum size of a total clique covering."""
     tracker = Budget.coerce(budget)
-    singletons, (witness,) = _maximal_coverings(g, tracker, find_all=False)
-    return len(singletons) + len(witness)
+    singletons, found = _maximal_coverings(g, tracker, find_all=False)
+    return len(singletons) + len(found[0])
 
 
 def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> list[Covering]:
-    """Every minimum total clique covering, canonically ordered and deduplicated."""
+    """Every minimum total clique covering, canonically ordered and deduplicated.
+
+    These are the shrinks of the least maximal-clique coverings, with the
+    isolated vertices' singletons.  Each distinct clique is built once, and
+    ranked in canonical order, so sorting a covering's ranks orders its
+    cliques and the coverings too."""
     tracker = Budget.coerce(budget)
-    return _total_coverings(*_maximal_coverings(g, tracker, find_all=True), tracker)
-
-
-def _total_coverings(singletons: tuple[Clique, ...], coverings: list[tuple[Clique, ...]],
-                     tracker: Budget) -> list[Covering]:
-    """Every shrink of the least maximal-clique coverings, with the isolated
-    vertices' singletons, canonically ordered and deduplicated.
-
-    Each distinct clique is built once, and ranked in canonical order, so
-    sorting a covering's ranks orders its cliques and the coverings too."""
+    singletons, coverings = _maximal_coverings(g, tracker, find_all=True)
     found: set[tuple[int, ...]] = set()
     for covering in coverings:
         _shrinks(covering, tracker, found)

@@ -436,16 +436,6 @@ def sigma_of_covering(g: Graph, covering: Sequence[Iterable[int]],
     return _least_sequence(g, covering, Budget.coerce(budget), fold=False)
 
 
-def _least_code(g: Graph, coverings: Sequence[Sequence[Iterable[int]]],
-                tracker: Budget) -> tuple[int, ...]:
-    """The least sigma over the shrinks of g's least edge coverings by
-    maximal cliques, one label search per covering."""
-    best = None
-    for covering in coverings:
-        best = _least_sequence(g, covering, tracker, fold=True, seed=best)
-    return best
-
-
 def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:
     """The canonical code: least sigma over all minimum total clique coverings.
 
@@ -454,7 +444,10 @@ def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:
     it goes, covers them all.
     """
     tracker = Budget.coerce(budget)
-    return _least_code(g, _maximal_coverings(g, tracker, find_all=True)[1], tracker)
+    best = None
+    for covering in _maximal_coverings(g, tracker, find_all=True)[1]:
+        best = _least_sequence(g, covering, tracker, fold=True, seed=best)
+    return best
 
 
 def is_isomorphic_by_code(g1: Graph, g2: Graph,

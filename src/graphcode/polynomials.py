@@ -190,24 +190,15 @@ def closed_form_family(family: str, n: int) -> tuple[tuple[int, ...], GraphPolyn
     if family == "path":
         if n < 3:
             raise ValueError("path closed form needs n >= 3")
-        entries = [nth_prime(1), nth_prime(2)]
-        entries += [nth_prime(i) * nth_prime(i + 2) for i in range(1, n - 2)]
-        entries.append(nth_prime(n - 2) * nth_prime(n - 1))
-        monomials = [(1,), (2,)]
-        monomials += [(i, i + 2) for i in range(1, n - 2)]
-        monomials.append((n - 2, n - 1))
-        return tuple(sorted(entries)), GraphPolynomial((m, 1) for m in monomials)
-    if family == "cycle":
+        monomials = [(1,), (2,), *((i, i + 2) for i in range(1, n - 2)), (n - 2, n - 1)]
+    elif family == "cycle":
         if n < 4:
             raise ValueError("cycle closed form needs n >= 4")
-        entries = [nth_prime(1) * nth_prime(2)]
-        entries += [nth_prime(i) * nth_prime(i + 2) for i in range(1, n - 1)]
-        entries.append(nth_prime(n - 1) * nth_prime(n))
-        monomials = [(1, 2)]
-        monomials += [(i, i + 2) for i in range(1, n - 1)]
-        monomials.append((n - 1, n))
-        return tuple(sorted(entries)), GraphPolynomial((m, 1) for m in monomials)
-    raise ValueError(f"no closed form for family {family!r}")
+        monomials = [(1, 2), *((i, i + 2) for i in range(1, n - 1)), (n - 1, n)]
+    else:
+        raise ValueError(f"no closed form for family {family!r}")
+    entries = sorted(prod(nth_prime(i) for i in m) for m in monomials)
+    return tuple(entries), GraphPolynomial((m, 1) for m in monomials)
 
 
 def _copy_graph(p: GraphPolynomial) -> Graph:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .budget import Budget
-from .cliques import (_maximal_coverings, _total_coverings, covering_from_sequence,
-                      is_total_clique_covering, minimum_total_coverings)
-from .coding import _least_code, coding_sequence_from_covering, lambda_of
+from .cliques import (covering_from_sequence, is_total_clique_covering,
+                      minimum_total_coverings, theta_t)
+from .coding import code, coding_sequence_from_covering, lambda_of
 from .graphs import Graph, divisor_graph, is_bipartite, is_connected, isolated_vertices, realize_sequence
 from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
 from .polynomials import (canonical_polynomial, detect_bipartite_poly,
@@ -56,10 +56,9 @@ def covering_round_trip_check(g: Graph, covering, assignment,
 def theta_lambda_consistency(g: Graph, budget: int | Budget | None = None) -> bool:
     """theta_t equals the prime count of lambda(code) plus the isolated count."""
     tracker = Budget.coerce(budget)
-    singletons, maximal = _maximal_coverings(g, tracker, find_all=True)
-    sigma = _least_code(g, maximal, tracker)
+    sigma = code(g, tracker)  # first, so theta_t reads the coverings it left
     k = len(prime_support(lambda_of(sigma), tracker)) if lambda_of(sigma) > 1 else 0
-    return len(singletons) + len(maximal[0]) == k + len(isolated_vertices(g))
+    return theta_t(g, tracker) == k + len(isolated_vertices(g))
 
 
 def theta_divisor_graph_check(n: int, budget: int | Budget | None = None) -> bool:
@@ -84,8 +83,7 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     tracker = Budget.coerce(budget)
     results: list[CheckResult] = []
 
-    singletons, maximal = _maximal_coverings(g, tracker, find_all=True)
-    coverings = _total_coverings(singletons, maximal, tracker)
+    coverings = minimum_total_coverings(g, tracker)
     theta = len(coverings[0])
     isolated = isolated_vertices(g)
 
@@ -106,7 +104,7 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     ok = all(essential(cov) for cov in coverings)
     results.append(CheckResult("every clique in a minimum covering is essential", ok))
 
-    sigma = _least_code(g, maximal, tracker)
+    sigma = code(g, tracker)
     k = len(prime_support(lambda_of(sigma), tracker)) if lambda_of(sigma) > 1 else 0
     ok = theta == k + len(isolated)
     results.append(CheckResult("theta_t = primes(lambda(code)) + isolated count", ok,

@@ -410,3 +410,22 @@ def test_round_trip_covering_sequence(seed, n, p):
     relabeled = realize_sequence(entries).graph
     assert {frozenset(c) for c in rebuilt} and len(rebuilt) == len(covering)
     assert brute_force_isomorphic(relabeled, g).verdict
+
+
+def test_one_budget_runs_the_covering_search_once_per_graph(example_graph, monkeypatch):
+    for g, theta in ((example_graph, 5), (empty_graph(3), 3)):
+        tracker = Budget()
+        code(g, tracker)
+        used = tracker.used
+        assert theta_t(g, tracker) == theta
+        assert tracker.used == used  # theta_t read the coverings code left
+    calls = []
+    enumerate_cliques = graphcode.cliques.maximal_cliques
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_cliques(*args, **kwargs)
+
+    monkeypatch.setattr(graphcode.cliques, "maximal_cliques", counted)
+    assert is_isomorphic_by_code(example_graph, example_graph, Budget())
+    assert len(calls) == 1

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import random
-import sys
+
+import pytest
 
 import graphcode.cliques
-from graphcode import (Budget, CheckResult, check_divisor_graph_polynomial, complete_graph,
-                       covering_round_trip_check, cycle_graph, empty_graph,
-                       first_primes, minimum_total_coverings, path_graph,
-                       run_invariant_suite, theta_divisor_graph_check,
-                       theta_lambda_consistency)
+from graphcode import (Budget, CheckResult, check_divisor_graph_polynomial, code,
+                       complete_graph, covering_round_trip_check, cycle_graph, empty_graph,
+                       first_primes, graph_from_edge_list, minimum_total_coverings,
+                       path_graph, run_invariant_suite, theta_divisor_graph_check,
+                       theta_lambda_consistency, theta_t)
 from graphcode.cli import main
 
 from conftest import random_assignment, random_blow_up, random_graph, random_total_covering
@@ -97,19 +98,26 @@ def test_suite_mentions_code_detail(example_graph):
 def test_each_command_runs_the_covering_search_once(example_graph, monkeypatch):
     """verify, the theta/lambda check and divisor search each graph once."""
     calls = []
-    search = graphcode.cliques._maximal_coverings
+    enumerate_cliques = graphcode.cliques.maximal_cliques
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return search(*args, **kwargs)
+        return enumerate_cliques(*args, **kwargs)
 
-    # Every module that imported the search holds its own reference.
-    for name, module in list(sys.modules.items()):
-        if name.startswith("graphcode") and getattr(module, "_maximal_coverings", None) is search:
-            monkeypatch.setattr(module, "_maximal_coverings", counted)
+    # On these paths only the covering search lists maximal cliques, once
+    # per search.
+    monkeypatch.setattr(graphcode.cliques, "maximal_cliques", counted)
     for run in (lambda: run_invariant_suite(example_graph),
                 lambda: theta_lambda_consistency(example_graph),
                 lambda: main(["divisor", "60"])):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def test_empty_graph_has_no_coverings():
+    g = graph_from_edge_list(0, [])
+    for run in (code, theta_t, minimum_total_coverings, run_invariant_suite,
+                theta_lambda_consistency):
+        with pytest.raises(ValueError, match="coverings need at least one vertex"):
+            run(g)
