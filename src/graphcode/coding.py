@@ -15,14 +15,15 @@ them; the least assignment of every orbit is one.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import lcm, prod
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .budget import Budget
 from .cliques import _maximal_coverings, is_total_clique_covering, maximal_cliques
-from .graphs import Graph, LabeledGraph, realize_sequence
+from .graphs import Graph, LabeledGraph, _bits, realize_sequence
 from .primes import first_primes, is_square_free, prime_support
 
 
@@ -122,9 +123,10 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
     lowest clique p it moves takes a smaller prime than pi(p).  Each is the
     constraint A <= A o pi, in clique-index order, of one symmetry, so the
     least assignment A of each orbit under the group they generate meets
-    all of them together.  Each pair tested charges one unit.
+    all of them together.  Only the members of the cliques pi moves
+    change pattern, so only theirs are compared.  Each pair tested charges
+    one unit.
     """
-    reference = sorted(patterns)
     both = 1 | 1 << k
     low = (1 << k) - 1
     # A swap keeps each member's IN and total counts, so cliques whose
@@ -135,22 +137,26 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
     for a, b in combinations(range(k), 2):
         tracker.charge()
         pair = 1 << a | 1 << b
-        if (shape[a] == shape[b]
-                and sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in patterns) == reference):
-            masks[b] |= 1 << a
+        if shape[a] == shape[b]:
+            reference = sorted(patterns[v] for v in _bits(cliques[a] | cliques[b]))
+            if sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in reference) == reference:
+                masks[b] |= 1 << a
     clique_at = {members: c for c, members in enumerate(cliques)}
     for group in twins:
         for u, v in combinations(group, 2):
             tracker.charge()
             swap = 1 << u | 1 << v
-            moved = [c for c, members in enumerate(cliques) if (members & swap).bit_count() == 1]
+            held = [(p | p >> k) & low for p in (patterns[u], patterns[v])]
+            moved = list(_bits(held[0] ^ held[1]))
             # The cliques are distinct, so a complete image permutes moved.
             image = [clique_at.get(cliques[c] ^ swap) for c in moved]
             if not moved or None in image:
                 continue
             fixed = ~sum(both << c for c in moved)
+            reference = sorted(patterns[w]
+                               for w in _bits(reduce(or_, (cliques[c] for c in moved))))
             if sorted(sum((p >> c & both) << d for c, d in zip(moved, image)) | p & fixed
-                      for p in patterns) == reference:
+                      for p in reference) == reference:
                 masks[image[0]] |= 1 << moved[0]
     return masks
 
@@ -183,20 +189,20 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     A block's last two cliques take theirs in one step: the node between
     would have one child and floors no higher.
 
-    One rule visits the children of every node.  A membership split
-    visits its two in place, leaving first.  Any other node with two or
-    more choices or children evaluates each child (its drop, primes and
-    floors, then undo; siblings apply a shared drop once) and visits them
-    in ascending order of their floors, stopping at the first that reaches
-    the incumbent, so good labellings come early and cut the rest; a
-    visited child reuses its evaluation.  A packing is cached until a
-    change to its vertex's or a neighbour's memberships marks it stale.
-    Each change trails its marks, also over marks already there, so undoing
-    it never leaves a packing computed below; a stale one is recomputed
-    where read.  A node charges 1 + m + k units for its m labels and k
-    cliques, once, whether its parent evaluates it or it evaluates itself;
-    propagation and packing charge 1 per edge scanned, and grouping the
-    vertices into twin classes 1 per vertex.
+    Each node owns its state: the IN and possible memberships, the cached
+    packings, the products and the cliques' primes.  A drop or join copies
+    all five; a child that only assigns primes copies the last two and
+    shares the rest, as primes never change a packing.  A membership split
+    visits its two children, leaving first.  Any other node with two or
+    more choices or children evaluates each child (siblings share a drop)
+    and visits them as evaluated, in ascending order of their floors,
+    stopping at the first that reaches the incumbent, so good labellings
+    come early and cut the rest.  A packing is cached until a change to
+    its vertex's or a neighbour's memberships marks it stale, and is
+    computed where read.  A node charges 1 + m + k units for its m labels
+    and k cliques, once, whether its parent evaluates it or it evaluates
+    itself; propagation and packing charge 1 per edge scanned, and
+    grouping the vertices into twin classes 1 per vertex.
     """
     ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
     vertices = sorted({v for c in ordered for v in c})
@@ -212,32 +218,19 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             pattern[v] |= 1 << i
     neighbours = [sorted({w for i in range(k) if pattern[v] >> i & 1 for w in members[i]} - {v})
                   for v in range(m)]
-    inside = [0] * m if fold else pattern[:]
-    free = pattern[:]
-    need: list[tuple | None] = [None] * m
-    products = [1] * m
-    prime_of = [0] * k
-    trail: list[tuple[list, int, object]] = []
 
-    def put(array: list, v: int, value) -> None:
-        trail.append((array, v, array[v]))
-        array[v] = value
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            array, v, value = trail.pop()
-            array[v] = value
-
-    def touch(v: int) -> None:
+    def touch(state: tuple, v: int) -> None:
         """Mark the packings that v's memberships feed, and that are still read, as stale."""
+        inside, free, need, _, _ = state
         tracker.charge(1 + len(neighbours[v]))
         for w in (v, *neighbours[v]):
             if free[w] != inside[w]:
-                put(need, w, None)
+                need[w] = None
 
-    def must_join(v: int) -> tuple:
+    def must_join(state: tuple, v: int) -> tuple:
         """(mask, cliques) of the possible holders of each edge in a packing
         of v's edges that only an undecided clique of v can cover."""
+        inside, free, need, _, _ = state
         tracker.charge(1 + len(neighbours[v]))
         mine, held = inside[v], free[v]
         packing = []
@@ -250,20 +243,22 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         need[v] = packed = tuple(packing)
         return packed
 
-    def join(v: int, bit: int, assigned: int) -> None:
+    def join(state: tuple, v: int, bit: int, assigned: int) -> None:
         """Put v into one clique, taking its prime if it has one."""
-        put(inside, v, inside[v] | bit)
+        inside, _, _, products, prime_of = state
+        inside[v] |= bit
         if assigned & bit:
-            put(products, v, products[v] * prime_of[bit.bit_length() - 1])
-        touch(v)
+            products[v] *= prime_of[bit.bit_length() - 1]
+        touch(state, v)
 
-    def drop(v: int, bits: int, assigned: int) -> None:
+    def drop(state: tuple, v: int, bits: int, assigned: int) -> None:
         """Take v out of the cliques in bits and force every edge left with
         one possible holder.  An edge no IN clique holds keeps two or more,
         and the search drops only memberships that leave each one at least
         one, so no edge is ever left with none."""
-        put(free, v, free[v] & ~bits)
-        touch(v)
+        inside, free, _, _, _ = state
+        free[v] &= ~bits
+        touch(state, v)
         tracker.charge(1 + len(neighbours[v]))
         for w in neighbours[v]:
             if not pattern[w] & bits or inside[v] & inside[w]:
@@ -272,8 +267,9 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             if not holders & (holders - 1):
                 for x in (v, w):
                     if not inside[x] & holders:
-                        join(x, holders, assigned)
+                        join(state, x, holders, assigned)
 
+    inside = [0] * m if fold else pattern[:]
     if fold:
         for v in range(m):
             tracker.charge(1 + len(neighbours[v]))
@@ -282,7 +278,9 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                 if not holders & (holders - 1):
                     inside[v] |= holders
     primes = first_primes(k)
-    suffix = [list(accumulate(primes[j:], mul, initial=1)) for j in range(k + 1)]
+    # A floor takes at most one vertex's membership count of the next primes.
+    most = max(p.bit_count() for p in pattern)
+    suffix = [list(accumulate(primes[j:j + most], mul, initial=1)) for j in range(k + 1)]
     # Swapping two twins, vertices with equal open or equal closed
     # neighbourhoods, is an automorphism of g, so twins give symmetries.
     tracker.charge(m)
@@ -291,16 +289,17 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         classes.setdefault(g.rows[v], []).append(t)
         classes.setdefault(g.rows[v] | 1 << v, []).append(t)
     lower_mask = _interchangeable_lower_masks(
-        [inside[v] | (free[v] & ~inside[v]) << k for v in range(m)], k,
+        [inside[v] | (pattern[v] & ~inside[v]) << k for v in range(m)], k,
         [sum(1 << v for v in clique) for clique in members],
         [group for group in classes.values() if len(group) > 1], tracker)
     incumbent = seed
 
-    def undecided_floor(v: int, opened: int, j: int, assigned: int, block: int,
+    def undecided_floor(state: tuple, v: int, opened: int, j: int, assigned: int, block: int,
                         width: int) -> int:
+        _, _, need, products, prime_of = state
         value = products[v]
         extra = 0
-        for holders, cliques in need[v] if need[v] is not None else must_join(v):
+        for holders, cliques in need[v] if need[v] is not None else must_join(state, v):
             if holders & assigned:
                 value *= min(prime_of[i] for i in cliques if assigned >> i & 1)
             else:
@@ -310,9 +309,11 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         return (value * suffix[j][inner + spare]
                 * suffix[j + width][(opened & ~block).bit_count() + extra - spare])
 
-    def evaluate(j: int, assigned: int, block: int) -> tuple[tuple[int, ...], list[int]]:
+    def evaluate(state: tuple, j: int, assigned: int,
+                 block: int) -> tuple[tuple[int, ...], list[int]]:
         """Charge one node; its sorted floors and its least-floor vertices."""
         tracker.charge(1 + m + k)
+        inside, free, _, products, _ = state
         width = block.bit_count()
         here, after = suffix[j], suffix[j + width]
         values = []
@@ -322,7 +323,7 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             mine = inside[v]
             opened = mine & ~assigned
             if free[v] != mine:
-                value = undecided_floor(v, opened, j, assigned, block, width)
+                value = undecided_floor(state, v, opened, j, assigned, block, width)
             elif not opened:
                 values.append(products[v])
                 continue
@@ -344,8 +345,8 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         if not chosen:
             return [((), 0)]
         found = []
-        for c in range(k):
-            if not chosen >> c & 1 or lower_mask[c] & ~assigned:
+        for c in _bits(chosen):
+            if lower_mask[c] & ~assigned:
                 continue
             rest = chosen & ~(1 << c)
             if not rest or rest & (rest - 1):
@@ -354,8 +355,10 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                 found.append(((c, last), 0))
         return found
 
-    def label(cliques: tuple[int, ...], j: int) -> int:
-        """Give the cliques the primes from the j-th on; their bits."""
+    def label(state: tuple, cliques: tuple[int, ...], j: int) -> tuple[tuple, int]:
+        """The state with the cliques given the primes from the j-th on; their bits."""
+        inside, free, need, products, prime_of = state
+        products, prime_of = products[:], prime_of[:]
         bits = 0
         for c in cliques:
             bit = 1 << c
@@ -364,26 +367,24 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             j += 1
             for v in members[c]:
                 if inside[v] & bit:
-                    trail.append((products, v, products[v]))
                     products[v] *= p
-        return bits
+        return (inside, free, need, products, prime_of), bits
 
-    def descend(j: int, assigned: int, block: int, evaluated: tuple | None = None) -> None:
+    def descend(state: tuple, j: int, assigned: int, block: int,
+                evaluated: tuple | None = None) -> None:
         nonlocal incumbent
-        floor, ties = evaluated or evaluate(j, assigned, block)
+        floor, ties = evaluated or evaluate(state, j, assigned, block)
         if incumbent is not None and floor >= incumbent:
             return
         if not ties:
             incumbent = floor
             return
+        inside, free, need, _, _ = state
         # Each choice is (vertex, memberships, drop or join, steps).  A
         # least-floor vertex with something to join splits the node: it leaves,
         # then joins, the lowest possible holder of its first packed edge.
-        u = None
-        for v in () if block else ties:
-            if free[v] != inside[v] and (need[v] if need[v] is not None else must_join(v)):
-                u = v
-                break
+        # Evaluating the node computed every packing read here.
+        u = next((v for v in (() if block else ties) if free[v] != inside[v] and need[v]), None)
         if block:
             choices = [(0, 0, drop, steps(block, assigned))]
         elif u is not None:
@@ -398,30 +399,23 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                         for w in ties if free[w] != inside[w] and inside[w] & ~assigned not in done]
         pending = [] if u is None and (len(choices) > 1 or len(choices[0][3]) > 1) else None
         for w, bits, act, choice_steps in choices:
-            mark = len(trail)
+            base = state
             if bits:
-                act(w, bits, assigned)
-            applied = len(trail)
+                base = tuple(array[:] for array in state)
+                act(base, w, bits, assigned)
             for cliques, rest in choice_steps:
-                after = assigned | label(cliques, j)
+                child, labelled = label(base, cliques, j)
+                node = (child, j + len(cliques), assigned | labelled, rest)
                 if pending is None:
-                    descend(j + len(cliques), after, rest)
+                    descend(*node)
                 else:
-                    pending.append((evaluate(j + len(cliques), after, rest),
-                                    w, bits, cliques, rest))
-                undo(applied)
-            undo(mark)
-        for evaluation, w, bits, cliques, rest in sorted(pending or (),
-                                                          key=lambda child: child[0][0]):
+                    pending.append((evaluate(*node), node))
+        for evaluation, node in sorted(pending or (), key=lambda entry: entry[0][0]):
             if incumbent is not None and evaluation[0] >= incumbent:
                 break
-            mark = len(trail)
-            if bits:
-                drop(w, bits, assigned)
-            descend(j + len(cliques), assigned | label(cliques, j), rest, evaluation)
-            undo(mark)
+            descend(*node, evaluation)
 
-    descend(0, 0, 0)
+    descend((inside, pattern[:], [None] * m, [1] * m, [0] * k), 0, 0, 0)
     return incumbent
 
 

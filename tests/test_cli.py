@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from graphcode import apply_permutation, cycle_graph, path_graph, render_edge_list
+from graphcode import (apply_permutation, complete_graph, cycle_graph, path_graph,
+                       render_edge_list)
 from graphcode import cli
 from graphcode.cli import BUDGET_ENV_VAR, build_parser, main
 
@@ -248,6 +250,21 @@ def test_budget_flag_exceeded(capsys):
     status, _, err = run_cli(capsys, "code", "--budget", "10", EXAMPLE)
     assert status == 2
     assert "error" in err
+
+
+def test_deep_search_exits_2_with_one_error_line(capsys, tmp_path):
+    # The searches recurse once per level, so a deep input can exceed the
+    # recursion limit before the budget: at the default limit of 1,000,
+    # K_1100 did in the clique search.  A lower limit keeps this fast.
+    graph = write_graph(tmp_path, "k150.edges", complete_graph(150))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        status, out, err = run_cli(capsys, "theta", graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "recursion limit" in err
 
 
 def test_budget_env_var(capsys, monkeypatch):

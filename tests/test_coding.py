@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from math import gcd, lcm
 
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import graphcode.cliques
+import graphcode.coding
 from graphcode import (Budget, BudgetExceededError, apply_permutation, brute_force_code,
                        brute_force_isomorphic, brute_force_sigma_of_covering,
                        check_sequence_shape, code, coding_sequence_from_covering,
                        complete_graph, cycle_graph, empty_graph, first_primes,
                        graph_from_edge_list, is_isomorphic_by_code, lambda_of,
-                       minimum_total_coverings, parse_sequence, path_graph,
+                       minimum_total_coverings, parse_graph6, parse_sequence, path_graph,
                        realize_sequence, render_sequence, sigma_of_covering,
                        theorem1_labels, theta_t, validate_coding_sequence)
 
@@ -205,6 +207,16 @@ def test_label_search_finds_sigma_before_proving_it():
         884065, 1647929, 16343913)
 
 
+def test_an_ordered_child_is_applied_once():
+    # A child evaluated to order its siblings keeps its state for its
+    # visit.  Applying its drop and primes again there, and recomputing
+    # the packings that marked stale, took 11,238 and 343 units.
+    for text, units in (("Fd~vw", 9_454), ("Dl{", 333)):
+        tracker = Budget()
+        code(parse_graph6(text), tracker)
+        assert tracker.used == units
+
+
 def complete_bipartite(a: int, b: int):
     return graph_from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
@@ -225,6 +237,60 @@ def test_twin_symmetries_are_searched_once():
         assert code(g, budget=10 ** 4) == expected
 
 
+def full_multiset_masks(patterns, k, cliques, twins, tracker):
+    """The symmetry masks found by comparing all the patterns for each pair."""
+    reference = sorted(patterns)
+    both = 1 | 1 << k
+    masks = [0] * k
+    for a, b in combinations(range(k), 2):
+        tracker.charge()
+        pair = 1 << a | 1 << b
+        if sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in patterns) == reference:
+            masks[b] |= 1 << a
+    clique_at = {members: c for c, members in enumerate(cliques)}
+    for group in twins:
+        for u, v in combinations(group, 2):
+            tracker.charge()
+            swap = 1 << u | 1 << v
+            moved = [c for c, members in enumerate(cliques) if (members & swap).bit_count() == 1]
+            image = [clique_at.get(cliques[c] ^ swap) for c in moved]
+            if not moved or None in image:
+                continue
+            fixed = ~sum(both << c for c in moved)
+            if sorted(sum((p >> c & both) << d for c, d in zip(moved, image)) | p & fixed
+                      for p in patterns) == reference:
+                masks[image[0]] |= 1 << moved[0]
+    return masks
+
+
+def test_symmetries_compare_only_the_patterns_they_move(monkeypatch):
+    # A symmetry changes only the patterns of its moved cliques' members;
+    # comparing just those must find the masks, at the charges, that
+    # comparing every pattern does.
+    masks_of = graphcode.coding._interchangeable_lower_masks
+    found = []
+
+    def checked(patterns, k, cliques, twins, tracker):
+        used = tracker.used
+        masks = masks_of(patterns, k, cliques, twins, tracker)
+        reference = Budget()
+        assert masks == full_multiset_masks(patterns, k, cliques, twins, reference)
+        assert tracker.used - used == reference.used
+        found.append(any(masks))
+        return masks
+
+    monkeypatch.setattr(graphcode.coding, "_interchangeable_lower_masks", checked)
+    for i in range(200):
+        rng = random.Random(i)
+        g = (random_blow_up(rng, 10) if i % 2
+             else random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 1.0)))
+        try:
+            code(g, budget=10 ** 5)
+        except BudgetExceededError:
+            pass
+    assert len(found) >= 200 and sum(found) >= 50
+
+
 def test_branch_and_bound_matches_factorial_search():
     # C_7 and C_8 force seven and eight non-singleton cliques, whose 7! and
     # 8! assignments the oracle sweeps in full; the pruned search must agree.
@@ -241,6 +307,21 @@ def test_code_of_large_complete_graph_stays_in_budget():
     # One maximal clique: the covering search must not list the 2^40
     # cliques of K_40 before it first charges the budget.
     assert code(complete_graph(40), budget=10_000) == (2,) * 40
+
+
+def test_label_search_set_up_stays_small_on_long_paths():
+    # A floor takes at most one vertex's membership count of the next
+    # primes, so the prime table keeps no longer rows; k + 1 products per
+    # row took 485 MB on this path.  The budget trips at its first symmetry test.
+    n = 1201
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            sigma_of_covering(path_graph(n), [(v, v + 1) for v in range(n - 1)], budget=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_code_matches_oracle_on_random_graphs():
