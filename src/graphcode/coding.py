@@ -191,18 +191,18 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
 
     Each node owns its state: the IN and possible memberships, the cached
     packings, the products and the cliques' primes.  A drop or join copies
-    all five; a child that only assigns primes copies the last two and
-    shares the rest, as primes never change a packing.  A membership split
-    visits its two children, leaving first.  Any other node with two or
-    more choices or children evaluates each child (siblings share a drop)
-    and visits them as evaluated, in ascending order of their floors,
-    stopping at the first that reaches the incumbent, so good labellings
-    come early and cut the rest.  A packing is cached until a change to
-    its vertex's or a neighbour's memberships marks it stale, and is
-    computed where read.  A node charges 1 + m + k units for its m labels
-    and k cliques, once, whether its parent evaluates it or it evaluates
-    itself; propagation and packing charge 1 per edge scanned, and
-    grouping the vertices into twin classes 1 per vertex.
+    all but the primes; a child that assigns primes copies the last two
+    and shares the rest, as primes never change a packing.  A membership
+    split visits its two children, leaving first.  Any other node with two
+    or more choices or children evaluates each child (siblings share a
+    drop) and visits them as evaluated, in ascending order of their
+    floors, stopping at the first that reaches the incumbent, so good
+    labellings come early and cut the rest.  A packing is cached until a
+    change to its vertex's or a neighbour's memberships marks it stale,
+    and is computed where read.  A node charges 1 + m + k units for its m
+    labels and k cliques, once, whether its parent evaluates it or it
+    evaluates itself; propagation and packing charge 1 per edge scanned,
+    and grouping the vertices into twin classes 1 per vertex.
     """
     ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
     vertices = sorted({v for c in ordered for v in c})
@@ -379,7 +379,7 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         if not ties:
             incumbent = floor
             return
-        inside, free, need, _, _ = state
+        inside, free, need, products, prime_of = state
         # Each choice is (vertex, memberships, drop or join, steps).  A
         # least-floor vertex with something to join splits the node: it leaves,
         # then joins, the lowest possible holder of its first packed edge.
@@ -401,10 +401,10 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         for w, bits, act, choice_steps in choices:
             base = state
             if bits:
-                base = tuple(array[:] for array in state)
+                base = (inside[:], free[:], need[:], products[:], prime_of)
                 act(base, w, bits, assigned)
             for cliques, rest in choice_steps:
-                child, labelled = label(base, cliques, j)
+                child, labelled = label(base, cliques, j) if cliques else (base, 0)
                 node = (child, j + len(cliques), assigned | labelled, rest)
                 if pending is None:
                     descend(*node)

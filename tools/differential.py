@@ -1,6 +1,6 @@
 """Compare code() between this checkout and another commit, graph by graph.
 
-    python3 tools/differential.py --parent REV [--sets atlas,gnp,random] [--show 10]
+    python3 tools/differential.py --parent REV
 
 REV's src/ is extracted with git archive into a temporary directory and
 imported as the package graphcode_parent, next to this checkout's
@@ -8,7 +8,8 @@ graphcode, so one process runs both.  Each graph's code() runs under its
 own budget on each side.  Per set the script prints how many graphs each
 side decides, the graphs whose codes differ, the graphs one side decides
 and the other does not, the total units, and, among the graphs both
-decide, how many cost more or fewer units, with the largest changes.
+decide, how many cost more or fewer units, with the ten largest changes
+each way.
 It exits 1 if any code differs or the checkout loses a graph.
 
 The sets:
@@ -33,11 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
-
-import graphcode  # noqa: E402  (this checkout's src/)
-
 SETS = ("atlas", "gnp", "random")
+SHOW = 10
 
 
 def load(src: Path, name: str):
@@ -51,12 +49,14 @@ def load(src: Path, name: str):
     return module
 
 
-def graphs_of(name: str) -> tuple[list[tuple[str, int, list]], int]:
-    """(name, vertex count, edges) of each graph in a set, and its budget."""
+def graphs_of(name: str, lib) -> tuple[list[tuple[str, int, list]], int]:
+    """(name, vertex count, edges) of each graph in a set, and its budget;
+    lib parses the atlas, and the other sets need the repo root and tests/
+    on sys.path."""
     if name == "atlas":
         text = (ROOT / "perfbench" / "data" / "atlas7.g6").read_text("ascii")
         return [(line, g.vertex_count, g.sorted_edges())
-                for line, g in zip(text.split(), graphcode.parse_graph6_file(text))], 10 ** 6
+                for line, g in zip(text.split(), lib.parse_graph6_file(text))], 10 ** 6
     if name == "gnp":
         from perfbench.workloads import gnp_pool
         return [(f"{seed}#{i}", n, edges) for seed in (41, 52)
@@ -103,7 +103,7 @@ def compare(parent, change, graphs: list[tuple[str, int, list]], budget: int) ->
     return report
 
 
-def render(name: str, report: dict, show: int) -> list[str]:
+def render(name: str, report: dict) -> list[str]:
     (a, b), (units_a, units_b) = report["decided"], report["units"]
     lines = [f"{name}: {report['graphs']} graphs, {report['budget']} units each; "
              f"decided {a} -> {b}; code mismatches {len(report['mismatches'])}; "
@@ -113,7 +113,7 @@ def render(name: str, report: dict, show: int) -> list[str]:
         if report[key]:
             lines.append(f"  {key}: {' '.join(report[key])}")
     for key in ("rose", "fell"):
-        largest = sorted(report[key], key=lambda entry: -abs(entry[2] - entry[1]))[:show]
+        largest = sorted(report[key], key=lambda entry: -abs(entry[2] - entry[1]))[:SHOW]
         lines += [f"  {key} {graph} {before} -> {after}" for graph, before, after in largest]
     return lines
 
@@ -122,23 +122,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV",
                         help="commit whose src/ is compared with this checkout's")
-    parser.add_argument("--sets", default=",".join(SETS),
-                        help=f"comma-separated subset of {','.join(SETS)}")
-    parser.add_argument("--show", type=int, default=10, metavar="N",
-                        help="list the N largest unit changes each way (default 10)")
     args = parser.parse_args(argv)
-    chosen = args.sets.split(",")
-    if not set(chosen) <= set(SETS):
-        parser.error(f"unknown set in {args.sets!r}")
+    sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
+    from perfbench.workloads import import_library
+    graphcode = import_library()
     archive = subprocess.run(["git", "archive", args.parent, "src"], cwd=ROOT,
                              capture_output=True, check=True).stdout
     failed = False
     with tempfile.TemporaryDirectory() as scratch:
         tarfile.open(fileobj=io.BytesIO(archive)).extractall(scratch, filter="data")
         parent = load(Path(scratch) / "src", "graphcode_parent")
-        for name in chosen:
-            report = compare(parent, graphcode, *graphs_of(name))
-            print("\n".join(render(name, report, args.show)), flush=True)
+        for name in SETS:
+            report = compare(parent, graphcode, *graphs_of(name, graphcode))
+            print("\n".join(render(name, report)), flush=True)
             failed |= bool(report["mismatches"] or report["lost"])
     return 1 if failed else 0
 
