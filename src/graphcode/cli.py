@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input or parse failure, 2 search budget or
-recursion depth exceeded.  Every subcommand offers --json with the same
-data as the human-readable output; identical inputs produce
-byte-identical output.
+Exit codes: 0 success, 1 bad input or parse failure, 2 budget exceeded.
+Every subcommand offers --json with the same data as the human-readable
+output; identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -240,10 +239,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(f"error: search exceeded the recursion limit of {sys.getrecursionlimit()}",
-              file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

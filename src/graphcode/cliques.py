@@ -29,29 +29,34 @@ Covering = tuple    # ordered tuple of Cliques
 
 
 def maximal_cliques(g: Graph, budget: int | Budget | None = None) -> set[Clique]:
-    """All maximal cliques, found by pivoted recursive expansion.
+    """All maximal cliques, found by pivoted expansion (Bron-Kerbosch).
 
     Isolated vertices appear as singleton cliques.  Vertex sets are
-    bitmasks over the graph's neighbour rows.  Each expansion charges one
-    budget unit.
+    bitmasks over the graph's neighbour rows.  Expansions wait on a stack
+    as (include, candidates, excluded) and are taken depth-first, the
+    children of one in ascending vertex order; each charges one budget
+    unit when taken.
     """
     tracker = Budget.coerce(budget)
     neighbors = g.rows
     found: set[Clique] = set()
-
-    def expand(include: int, candidates: int, excluded: int) -> None:
+    stack = [(0, (1 << g.vertex_count) - 1, 0)]
+    while stack:
+        include, candidates, excluded = stack.pop()
         tracker.charge()
         if not candidates and not excluded:
             found.add(frozenset(_members(include)))
-            return
+            continue
         pivot = max(_members(candidates | excluded),
                     key=lambda u: (neighbors[u] & candidates).bit_count())
-        for v in _members(candidates & ~neighbors[pivot]):
-            expand(include | 1 << v, candidates & neighbors[v], excluded & neighbors[v])
-            candidates &= ~(1 << v)
-            excluded |= 1 << v
-
-    expand(0, (1 << g.vertex_count) - 1, 0)
+        # Pushed highest first, so the lowest is taken first; the bits left
+        # in branch are the earlier siblings, moved from candidates to excluded.
+        branch = candidates & ~neighbors[pivot]
+        while branch:
+            v = branch.bit_length() - 1
+            branch ^= 1 << v
+            stack.append((include | 1 << v, candidates & ~branch & neighbors[v],
+                          (excluded | branch) & neighbors[v]))
     return found
 
 
@@ -94,12 +99,14 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     maximal cliques of size >= 2.
 
     Cliques that alone hold some edge are taken first; iterative deepening
-    over the rest starts at their packing bound.  Each node branches on the
-    uncovered edge with the fewest allowed candidate cliques; a candidate
-    tried in one branch is forbidden in its later siblings, so no covering
-    is found twice.  A node is cut when some uncovered edge has no allowed
-    candidate, or when more uncovered edges than the remaining depth pairwise
-    share no allowed candidate (each of them needs a clique of its own).
+    over the rest starts at their packing bound, and walks each depth from
+    the root, depth-first on a stack.  Each node branches on the uncovered
+    edge with the fewest allowed candidate cliques, its children taken in
+    ascending clique order; a candidate tried in one branch is forbidden in
+    its later siblings, so no covering is found twice.  A node is cut when
+    some uncovered edge has no allowed candidate, or when more uncovered
+    edges than the remaining depth pairwise share no allowed candidate
+    (each of them needs a clique of its own).
     Indexing charges one unit per (clique, edge) pair, and every node 1
     plus the uncovered edges it scans.  Returns every least covering when
     find_all is set, and remembers them in the budget, whose listing every
@@ -159,35 +166,6 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
         tracker.charge(scanned)
         return bound, fewest
 
-    def descend(uncovered: int, forbidden: int, chosen: tuple[int, ...], remaining: int) -> bool:
-        while True:
-            if not uncovered:
-                found.append(chosen)
-                return True
-            if not remaining:
-                return False
-            bound, options = scan(uncovered, forbidden)
-            if not 0 <= bound <= remaining:
-                return False
-            if options & (options - 1):
-                break
-            # A single allowed candidate is forced; take it without branching.
-            j = options.bit_length() - 1
-            uncovered &= ~covers[j]
-            chosen += (j,)
-            remaining -= 1
-        hit = False
-        while options:
-            low = options & -options
-            options ^= low
-            j = low.bit_length() - 1
-            if descend(uncovered & ~covers[j], forbidden, chosen + (j,), remaining - 1):
-                if not find_all:
-                    return True
-                hit = True
-            forbidden |= low
-        return hit
-
     # A clique that alone holds some edge is in every covering; the rest
     # need at least their packing bound of further cliques.
     tracker.charge(1 + len(edges))
@@ -200,7 +178,24 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     for j in forced:
         uncovered &= ~covers[j]
     depth = scan(uncovered, 0)[0] if uncovered else 0
-    while not descend(uncovered, 0, forced, depth):
+    while not found:
+        stack = [(uncovered, 0, forced, depth)]
+        while stack and (find_all or not found):
+            left, forbidden, chosen, remaining = stack.pop()
+            if not left:
+                found.append(chosen)
+                continue
+            if not remaining:
+                continue
+            bound, options = scan(left, forbidden)
+            if not 0 <= bound <= remaining:
+                continue
+            while options:
+                # The bits left below j are j's earlier siblings.
+                j = options.bit_length() - 1
+                options ^= 1 << j
+                stack.append((left & ~covers[j], forbidden | options, chosen + (j,),
+                              remaining - 1))
         depth += 1
     result = singletons, [tuple(cliques[j] for j in chosen) for chosen in found]
     if find_all:
@@ -215,10 +210,11 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
     S_i can fall below two vertices.  Vertices are dropped one (clique,
     vertex) item at a time while every edge stays covered: v may leave S_i
     when the other current cliques that hold v hold all of S_i.  Cliques
-    only shrink, so an item that fails this on the M_i never passes.  Each
-    shrink goes into found as the sorted tuple of its cliques' vertex
-    bitmasks.  Each drop test charges |S_i|, and each shrink kept 1 per
-    clique.
+    only shrink, so an item that fails this on the M_i never passes.  The
+    walk takes the items by vertex, then clique, depth-first on a stack,
+    and drops each before it keeps it.  Each shrink goes into found as the
+    sorted tuple of its cliques' vertex bitmasks.  Each drop test charges
+    |S_i|, and each shrink kept 1 per clique.
     """
     masks = [sum(1 << v for v in c) for c in covering]
 
@@ -233,20 +229,22 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
     items = sorted(((i, v) for i, clique in enumerate(covering) for v in clique
                     if droppable(i, v)), key=lambda item: (item[1], item[0]))
 
-    def walk(t: int) -> None:
+    # Each entry is (next item, clique, bit): the bit goes back into the
+    # clique before the walk goes on from the item.
+    stack = [(0, 0, 0)]
+    while stack:
+        t, i, bit = stack.pop()
+        if bit:
+            masks[i] |= bit
         while t < len(items) and not droppable(*items[t]):
             t += 1
         if t == len(items):
             tracker.charge(len(masks))
             found.add(tuple(sorted(masks)))
-            return
+            continue
         i, v = items[t]
         masks[i] ^= 1 << v
-        walk(t + 1)
-        masks[i] ^= 1 << v
-        walk(t + 1)
-
-    walk(0)
+        stack += ((t + 1, i, 1 << v), (t + 1, i, 0))
 
 
 def theta_t(g: Graph, budget: int | Budget | None = None) -> int:

@@ -192,17 +192,19 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     Each node owns its state: the IN and possible memberships, the cached
     packings, the products and the cliques' primes.  A drop or join copies
     all but the primes; a child that assigns primes copies the last two
-    and shares the rest, as primes never change a packing.  A membership
-    split visits its two children, leaving first.  Any other node with two
-    or more choices or children evaluates each child (siblings share a
-    drop) and visits them as evaluated, in ascending order of their
-    floors, stopping at the first that reaches the incumbent, so good
-    labellings come early and cut the rest.  A packing is cached until a
-    change to its vertex's or a neighbour's memberships marks it stale,
-    and is computed where read.  A node charges 1 + m + k units for its m
-    labels and k cliques, once, whether its parent evaluates it or it
-    evaluates itself; propagation and packing charge 1 per edge scanned,
-    and grouping the vertices into twin classes 1 per vertex.
+    and shares the rest, as primes never change a packing.  Nodes wait on
+    one stack and are taken depth-first.  A membership split pushes its
+    two children, leaving first, each evaluated when taken.  Any other
+    node with two or more choices or children evaluates each child
+    (siblings share a drop) and pushes them to be taken in ascending order
+    of their floors, so good labellings come early and cut the rest; a
+    child whose floor reaches the incumbent is skipped.  A packing is
+    cached until a change to its vertex's or a neighbour's memberships
+    marks it stale, and is computed where read.  A node charges 1 + m + k
+    units for its m labels and k cliques, once, whether its parent
+    evaluates it or it is evaluated when taken; propagation and packing
+    charge 1 per edge scanned, and grouping the vertices into twin classes
+    1 per vertex.
     """
     ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
     vertices = sorted({v for c in ordered for v in c})
@@ -292,7 +294,6 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
         [inside[v] | (pattern[v] & ~inside[v]) << k for v in range(m)], k,
         [sum(1 << v for v in clique) for clique in members],
         [group for group in classes.values() if len(group) > 1], tracker)
-    incumbent = seed
 
     def undecided_floor(state: tuple, v: int, opened: int, j: int, assigned: int, block: int,
                         width: int) -> int:
@@ -370,15 +371,17 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                     products[v] *= p
         return (inside, free, need, products, prime_of), bits
 
-    def descend(state: tuple, j: int, assigned: int, block: int,
-                evaluated: tuple | None = None) -> None:
-        nonlocal incumbent
-        floor, ties = evaluated or evaluate(state, j, assigned, block)
+    incumbent = seed
+    # Each entry is (state, j, assigned, block, evaluation or None).
+    stack = [((inside, pattern[:], [None] * m, [1] * m, [0] * k), 0, 0, 0, None)]
+    while stack:
+        state, j, assigned, block, evaluation = stack.pop()
+        floor, ties = evaluation or evaluate(state, j, assigned, block)
         if incumbent is not None and floor >= incumbent:
-            return
+            continue
         if not ties:
             incumbent = floor
-            return
+            continue
         inside, free, need, products, prime_of = state
         # Each choice is (vertex, memberships, drop or join, steps).  A
         # least-floor vertex with something to join splits the node: it leaves,
@@ -397,7 +400,8 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
             choices = [(0, 0, drop, steps(opened, assigned)) for opened in dict.fromkeys(done)]
             choices += [(w, free[w] & ~inside[w], drop, steps(inside[w] & ~assigned, assigned))
                         for w in ties if free[w] != inside[w] and inside[w] & ~assigned not in done]
-        pending = [] if u is None and (len(choices) > 1 or len(choices[0][3]) > 1) else None
+        ranked = u is None and (len(choices) > 1 or len(choices[0][3]) > 1)
+        children = []
         for w, bits, act, choice_steps in choices:
             base = state
             if bits:
@@ -405,17 +409,12 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
                 act(base, w, bits, assigned)
             for cliques, rest in choice_steps:
                 child, labelled = label(base, cliques, j) if cliques else (base, 0)
-                node = (child, j + len(cliques), assigned | labelled, rest)
-                if pending is None:
-                    descend(*node)
-                else:
-                    pending.append((evaluate(*node), node))
-        for evaluation, node in sorted(pending or (), key=lambda entry: entry[0][0]):
-            if incumbent is not None and evaluation[0] >= incumbent:
-                break
-            descend(*node, evaluation)
-
-    descend((inside, pattern[:], [None] * m, [1] * m, [0] * k), 0, 0, 0)
+                at, taken = j + len(cliques), assigned | labelled
+                children.append((child, at, taken, rest,
+                                 evaluate(child, at, taken, rest) if ranked else None))
+        if ranked:
+            children.sort(key=lambda node: node[4][0])
+        stack += reversed(children)
     return incumbent
 
 

@@ -250,22 +250,24 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def independence_number(g: Graph, budget: int | Budget | None = None) -> int:
-    """Exact size of a maximum independent set."""
+    """Exact size of a maximum independent set, by a branch and bound that
+    takes each vertex, by falling degree, before it leaves it out; each node
+    charges one budget unit."""
     tracker = Budget.coerce(budget)
-    order = sorted(g.vertices(), key=g.degree, reverse=True)
     rows = g.rows
-
-    def best(candidates: list[int], current: int, record: int) -> int:
+    record = 0
+    stack = [(sorted(g.vertices(), key=g.degree, reverse=True), 0)]
+    while stack:
+        candidates, current = stack.pop()
         tracker.charge()
         if current + len(candidates) <= record:
-            return record
+            continue
         if not candidates:
-            return max(record, current)
+            record = current
+            continue
         v, rest = candidates[0], candidates[1:]
-        record = best([w for w in rest if not rows[v] >> w & 1], current + 1, record)
-        return best(rest, current, record)
-
-    return best(order, 0, 0)
+        stack += ((rest, current), ([w for w in rest if not rows[v] >> w & 1], current + 1))
+    return record
 
 
 def complete_graph(n: int) -> Graph:

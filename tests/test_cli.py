@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from graphcode import (apply_permutation, complete_graph, cycle_graph, path_graph,
-                       render_edge_list)
+from graphcode import (Budget, apply_permutation, code, complete_graph, cycle_graph,
+                       empty_graph, independence_number, minimum_total_coverings,
+                       path_graph, render_edge_list, theta_t)
 from graphcode import cli
 from graphcode.cli import BUDGET_ENV_VAR, build_parser, main
 
@@ -252,19 +253,30 @@ def test_budget_flag_exceeded(capsys):
     assert "error" in err
 
 
-def test_deep_search_exits_2_with_one_error_line(capsys, tmp_path):
-    # The searches recurse once per level, so a deep input can exceed the
-    # recursion limit before the budget: at the default limit of 1,000,
-    # K_1100 did in the clique search.  A lower limit keeps this fast.
-    graph = write_graph(tmp_path, "k150.edges", complete_graph(150))
+def test_deep_searches_finish_under_a_low_recursion_limit(capsys, tmp_path):
+    # Every search keeps its open nodes on a stack of its own, so inputs
+    # hundreds of levels deep finish under a recursion limit only 100
+    # above the current depth.  Each of these calls used to recurse once
+    # per level of its search.
+    k150 = write_graph(tmp_path, "k150.edges", complete_graph(150))
+    path = write_graph(tmp_path, "p300.edges", path_graph(300))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        status, out, err = run_cli(capsys, "theta", graph)
+        tracker = Budget()
+        assert len(code(path_graph(300), tracker)) == 300
+        assert tracker.used == 405_746
+        assert theta_t(complete_graph(300)) == 1
+        assert len(minimum_total_coverings(complete_graph(300))) == 1
+        assert independence_number(empty_graph(300)) == 300
+        theta = run_cli(capsys, "theta", k150)
+        coded = run_cli(capsys, "code", path)
+        verified = run_cli(capsys, "verify", path)
     finally:
         sys.setrecursionlimit(limit)
-    assert status == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "recursion limit" in err
+    assert theta[0] == 0 and theta[1].startswith("theta_t: 1\n") and theta[2] == ""
+    assert coded[0] == 0 and coded[2] == ""
+    assert verified[0] == 0 and verified[1].endswith("all checks passed\n")
 
 
 def test_budget_env_var(capsys, monkeypatch):

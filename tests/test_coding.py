@@ -510,3 +510,19 @@ def test_one_budget_runs_the_covering_search_once_per_graph(example_graph, monke
     monkeypatch.setattr(graphcode.cliques, "maximal_cliques", counted)
     assert is_isomorphic_by_code(example_graph, example_graph, Budget())
     assert len(calls) == 1
+
+
+def test_theta_t_stops_at_its_first_witness():
+    # Pool 41#116 of the gnp benchmark has 88 least coverings by maximal
+    # cliques.  theta_t stops its deepest walk at the first one and
+    # remembers no listing, so code under the same budget lists them all.
+    g = parse_graph6("Mvvnz~~~Z~~v^~z|_")
+    tracker = Budget()
+    assert theta_t(g, tracker) == 6
+    assert tracker.used == 3_297
+    assert not tracker.coverings
+    sigma = code(g, tracker)
+    assert tracker.used == 233_910
+    alone = Budget()
+    assert code(g, alone) == sigma
+    assert alone.used == 230_613

@@ -30,13 +30,55 @@ def test_differential_finds_no_change_between_equal_trees(copy):
     assert copy.code is not graphcode.code
     graphs, budget = tool.graphs_of("atlas", graphcode)
     sample = graphs[::100]
-    report = tool.compare(copy, graphcode, sample, budget)
-    assert report["decided"] == [len(sample), len(sample)]
-    assert report["units"][0] == report["units"][1] > 0
-    assert not any(report[key] for key in ("mismatches", "lost", "gained", "rose", "fell"))
-    assert tool.render("atlas", report) == [
-        f"atlas: 13 graphs, 1000000 units each; decided 13 -> 13; code mismatches 0; "
-        f"units {report['units'][0]} -> {report['units'][1]}; rose 0, fell 0"]
-    tight = tool.compare(copy, graphcode, sample, 100)
-    assert 0 < tight["decided"][0] == tight["decided"][1] < len(sample)
-    assert not tight["lost"] and not tight["gained"]
+    for function in tool.FUNCTIONS:
+        report = tool.compare(copy, graphcode, function, sample, budget)
+        assert report["decided"] == [len(sample), len(sample)]
+        assert report["units"][0] == report["units"][1] > 0
+        assert not any(report[key] for key in ("mismatches", "lost", "gained", "rose", "fell"))
+        assert tool.render(f"atlas {function}", report) == [
+            f"atlas {function}: 13 graphs, 1000000 units each; decided 13 -> 13; "
+            f"mismatches 0; units {report['units'][0]} -> {report['units'][1]}; "
+            f"rose 0, fell 0"]
+        tight = tool.compare(copy, graphcode, function, sample, 40)
+        assert 0 < tight["decided"][0] == tight["decided"][1] < len(sample)
+        assert not tight["lost"] and not tight["gained"]
+
+
+def test_differential_reports_each_kind_of_difference(copy, monkeypatch):
+    # theta_t one too high on graphs with an edge, minimum_total_coverings
+    # out of budget on graphs with more than five vertices, and code
+    # costing one unit more or less by the vertex count's parity.
+    graphs, budget = tool.graphs_of("atlas", graphcode)
+    sample = graphs[::100]
+    theta, listing, code = copy.theta_t, copy.minimum_total_coverings, copy.code
+
+    def shifted(g, tracker):
+        return theta(g, tracker) + (g.edge_count > 0)
+
+    def capped(g, tracker):
+        if g.vertex_count > 5:
+            raise copy.BudgetExceededError(tracker.limit)
+        return listing(g, tracker)
+
+    def uneven(g, tracker):
+        sigma = code(g, tracker)
+        tracker.used += 1 if g.vertex_count % 2 else -1
+        return sigma
+
+    for name, function in (("theta_t", shifted), ("minimum_total_coverings", capped),
+                           ("code", uneven)):
+        monkeypatch.setattr(copy, name, function)
+    drawn = {(n, bool(edges)) for _, n, edges in sample}
+    assert (1, False) in drawn and (7, True) in drawn
+    theta_report = tool.compare(graphcode, copy, "theta_t", sample, budget)
+    assert theta_report["mismatches"] == [name for name, _, edges in sample if edges]
+    listing_report = tool.compare(graphcode, copy, "minimum_total_coverings", sample, budget)
+    assert listing_report["lost"] == [name for name, n, _ in sample if n > 5]
+    assert listing_report["decided"][1] < listing_report["decided"][0] == len(sample)
+    assert not listing_report["mismatches"]
+    code_report = tool.compare(graphcode, copy, "code", sample, budget)
+    assert [entry[0] for entry in code_report["rose"]] == [
+        name for name, n, _ in sample if n % 2]
+    assert len(code_report["rose"]) + len(code_report["fell"]) == len(sample)
+    lines = tool.render("atlas theta_t", theta_report)
+    assert "mismatches 0" not in lines[0] and lines[1].startswith("  mismatches: ")

@@ -1,16 +1,17 @@
-"""Compare code() between this checkout and another commit, graph by graph.
+"""Compare the searches of this checkout and another commit, graph by graph.
 
     python3 tools/differential.py --parent REV
 
 REV's src/ is extracted with git archive into a temporary directory and
 imported as the package graphcode_parent, next to this checkout's
-graphcode, so one process runs both.  Each graph's code() runs under its
-own budget on each side.  Per set the script prints how many graphs each
-side decides, the graphs whose codes differ, the graphs one side decides
-and the other does not, the total units, and, among the graphs both
-decide, how many cost more or fewer units, with the ten largest changes
-each way.
-It exits 1 if any code differs or the checkout loses a graph.
+graphcode, so one process runs both.  code(), theta_t() and
+minimum_total_coverings() each run on each graph under a budget of their
+own on each side.  Per set and function the script prints how many
+graphs each side decides, the graphs whose results differ, the graphs
+one side decides and the other does not, the total units, and, among the
+graphs both decide, how many cost more or fewer units, with the ten
+largest changes each way.  It exits 1 if any result differs or the
+checkout loses a graph.
 
 The sets:
 - atlas: every graph on 1 to 7 vertices (perfbench/data/atlas7.g6),
@@ -35,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SETS = ("atlas", "gnp", "random")
+FUNCTIONS = ("code", "theta_t", "minimum_total_coverings")
 SHOW = 10
 
 
@@ -73,22 +75,23 @@ def graphs_of(name: str, lib) -> tuple[list[tuple[str, int, list]], int]:
     return found, 10 ** 6
 
 
-def run(side, n: int, edges: list, budget: int) -> tuple[tuple | None, int]:
-    """The code (None if the budget ran out) and the units it used."""
+def run(side, function: str, n: int, edges: list, budget: int) -> tuple[object, int]:
+    """The function's result (None if the budget ran out) and the units it used."""
     tracker = side.Budget(budget)
     try:
-        return side.code(side.graph_from_edge_list(n, edges), tracker), tracker.used
+        return getattr(side, function)(side.graph_from_edge_list(n, edges), tracker), tracker.used
     except side.BudgetExceededError:
         return None, tracker.used
 
 
-def compare(parent, change, graphs: list[tuple[str, int, list]], budget: int) -> dict:
-    """Run both packages' code() on every graph and collect the differences."""
+def compare(parent, change, function: str, graphs: list[tuple[str, int, list]],
+            budget: int) -> dict:
+    """Run both packages' function on every graph and collect the differences."""
     report = {"graphs": len(graphs), "budget": budget, "decided": [0, 0], "units": [0, 0],
               "mismatches": [], "lost": [], "gained": [], "rose": [], "fell": []}
     for name, n, edges in graphs:
-        before, spent_before = run(parent, n, edges, budget)
-        after, spent_after = run(change, n, edges, budget)
+        before, spent_before = run(parent, function, n, edges, budget)
+        after, spent_after = run(change, function, n, edges, budget)
         report["decided"][0] += before is not None
         report["decided"][1] += after is not None
         report["units"][0] += spent_before
@@ -106,7 +109,7 @@ def compare(parent, change, graphs: list[tuple[str, int, list]], budget: int) ->
 def render(name: str, report: dict) -> list[str]:
     (a, b), (units_a, units_b) = report["decided"], report["units"]
     lines = [f"{name}: {report['graphs']} graphs, {report['budget']} units each; "
-             f"decided {a} -> {b}; code mismatches {len(report['mismatches'])}; "
+             f"decided {a} -> {b}; mismatches {len(report['mismatches'])}; "
              f"units {units_a} -> {units_b}; rose {len(report['rose'])}, "
              f"fell {len(report['fell'])}"]
     for key in ("mismatches", "lost", "gained"):
@@ -133,9 +136,11 @@ def main(argv: list[str] | None = None) -> int:
         tarfile.open(fileobj=io.BytesIO(archive)).extractall(scratch, filter="data")
         parent = load(Path(scratch) / "src", "graphcode_parent")
         for name in SETS:
-            report = compare(parent, graphcode, *graphs_of(name, graphcode))
-            print("\n".join(render(name, report)), flush=True)
-            failed |= bool(report["mismatches"] or report["lost"])
+            graphs, budget = graphs_of(name, graphcode)
+            for function in FUNCTIONS:
+                report = compare(parent, graphcode, function, graphs, budget)
+                print("\n".join(render(f"{name} {function}", report)), flush=True)
+                failed |= bool(report["mismatches"] or report["lost"])
     return 1 if failed else 0
 
 
