@@ -12,16 +12,17 @@ reduction and exact algorithms for clique cover", ACM JEA 13, 2009).
 Every minimum total covering is a shrink of a minimum maximal-clique
 covering: S_i subset of M_i with |S_i| >= 2, still covering every edge.
 minimum_total_coverings lists the shrinks; the code's label search in
-coding picks them itself and never lists them.
+coding picks them itself and never lists them.  Inside the searches every
+vertex set is an int bitmask over Graph.rows; frozensets are built only
+where a public function takes or returns them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .budget import Budget
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .primes import prime_support
 
 Clique = frozenset  # of vertex ids
@@ -45,9 +46,9 @@ def maximal_cliques(g: Graph, budget: int | Budget | None = None) -> set[Clique]
         include, candidates, excluded = stack.pop()
         tracker.charge()
         if not candidates and not excluded:
-            found.add(frozenset(_members(include)))
+            found.add(frozenset(_bits(include)))
             continue
-        pivot = max(_members(candidates | excluded),
+        pivot = max(_bits(candidates | excluded),
                     key=lambda u: (neighbors[u] & candidates).bit_count())
         # Pushed highest first, so the lowest is taken first; the bits left
         # in branch are the earlier siblings, moved from candidates to excluded.
@@ -58,16 +59,6 @@ def maximal_cliques(g: Graph, budget: int | Budget | None = None) -> set[Clique]
             stack.append((include | 1 << v, candidates & ~branch & neighbors[v],
                           (excluded | branch) & neighbors[v]))
     return found
-
-
-def _members(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def is_total_clique_covering(g: Graph, cliques: Sequence[Iterable[int]]) -> bool:
@@ -94,10 +85,12 @@ def canonical_covering(cliques: Iterable[Iterable[int]]) -> Covering:
 
 
 def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
-                       ) -> tuple[tuple[Clique, ...], list[tuple[Clique, ...]]]:
+                       ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The isolated vertices' singletons, and the least edge coverings by
-    maximal cliques of size >= 2.
+    maximal cliques of size >= 2, every clique a vertex mask.
 
+    Each maximal clique becomes a mask once; holding[v] masks the candidate
+    cliques that hold v, so those of edge (u, v) are holding[u] & holding[v].
     Cliques that alone hold some edge are taken first; iterative deepening
     over the rest starts at their packing bound, and walks each depth from
     the root, depth-first on a stack.  Each node branches on the uncovered
@@ -117,25 +110,24 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
         return tracker.coverings[g]
     if g.vertex_count == 0:
         raise ValueError("coverings need at least one vertex")
-    maximal = maximal_cliques(g, tracker)
-    singletons = tuple(sorted((c for c in maximal if len(c) == 1), key=min))
-    cliques = sorted((c for c in maximal if len(c) > 1), key=lambda c: (-len(c), sorted(c)))
-    edges = g.sorted_edges()
-    if not edges:
+    masks = [sum(1 << v for v in c) for c in maximal_cliques(g, tracker)]
+    singletons = tuple(c for c in masks if not c & (c - 1))
+    cliques = sorted((c for c in masks if c & (c - 1)), key=lambda c: (-c.bit_count(), _bits(c)))
+    if not cliques:
         tracker.coverings[g] = singletons, [()]
         return tracker.coverings[g]
-    tracker.charge(sum(len(c) * (len(c) - 1) // 2 for c in cliques))
-    # Edge bits run from the fewest candidate cliques to the most, so the
-    # greedy packing below meets the most constrained edges first.
-    candidates: dict[tuple[int, int], int] = {e: 0 for e in edges}
-    for j, clique in enumerate(cliques):
-        for e in combinations(sorted(clique), 2):
-            candidates[e] |= 1 << j
-    edges.sort(key=lambda e: candidates[e].bit_count())
-    allowed_by_bit = [candidates[e] for e in edges]
+    tracker.charge(sum(size * (size - 1) // 2 for size in map(int.bit_count, cliques)))
+    holding = [0] * g.vertex_count
+    for j, mask in enumerate(cliques):
+        for v in _bits(mask):
+            holding[v] |= 1 << j
+    # Edge bits run from the fewest candidate cliques to the most, ties in
+    # (u, v) order, so the greedy packing meets the most constrained first.
+    allowed_by_bit = sorted((holding[u] & holding[v] for u, row in enumerate(g.rows)
+                             for v in _bits(row >> u << u)), key=int.bit_count)
     covers = [0] * len(cliques)
     for i, allowed in enumerate(allowed_by_bit):
-        for j in _members(allowed):
+        for j in _bits(allowed):
             covers[j] |= 1 << i
     found: list[tuple[int, ...]] = []
 
@@ -168,13 +160,13 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
 
     # A clique that alone holds some edge is in every covering; the rest
     # need at least their packing bound of further cliques.
-    tracker.charge(1 + len(edges))
+    tracker.charge(1 + len(allowed_by_bit))
     alone = 0
     for allowed in allowed_by_bit:
         if not allowed & (allowed - 1):
             alone |= allowed
-    forced = tuple(j for j in range(len(cliques)) if alone >> j & 1)
-    uncovered = (1 << len(edges)) - 1
+    forced = tuple(_bits(alone))
+    uncovered = (1 << len(allowed_by_bit)) - 1
     for j in forced:
         uncovered &= ~covers[j]
     depth = scan(uncovered, 0)[0] if uncovered else 0
@@ -203,20 +195,20 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     return result
 
 
-def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int, ...]]) -> None:
+def _shrinks(covering: tuple[int, ...], tracker: Budget, found: set[tuple[int, ...]]) -> None:
     """Add every S_1..S_k with S_i subset of M_i that covers the same edges.
 
-    covering is a least edge covering M_1..M_k by maximal cliques, so no
-    S_i can fall below two vertices.  Vertices are dropped one (clique,
-    vertex) item at a time while every edge stays covered: v may leave S_i
-    when the other current cliques that hold v hold all of S_i.  Cliques
-    only shrink, so an item that fails this on the M_i never passes.  The
-    walk takes the items by vertex, then clique, depth-first on a stack,
-    and drops each before it keeps it.  Each shrink goes into found as the
-    sorted tuple of its cliques' vertex bitmasks.  Each drop test charges
-    |S_i|, and each shrink kept 1 per clique.
+    covering is a least edge covering M_1..M_k by maximal cliques, as masks,
+    so no S_i can fall below two vertices.  Vertices are dropped one
+    (clique, vertex) item at a time while every edge stays covered: v may
+    leave S_i when the other current cliques that hold v hold all of S_i.
+    Cliques only shrink, so an item that fails this on the M_i never
+    passes.  The walk takes the items by vertex, then clique, depth-first
+    on a stack, and drops each before it keeps it.  Each shrink goes into
+    found as the sorted tuple of its cliques' masks.  Each drop test
+    charges |S_i|, and each shrink kept 1 per clique.
     """
-    masks = [sum(1 << v for v in c) for c in covering]
+    masks = list(covering)
 
     def droppable(i: int, v: int) -> bool:
         tracker.charge(masks[i].bit_count())
@@ -226,7 +218,7 @@ def _shrinks(covering: tuple[Clique, ...], tracker: Budget, found: set[tuple[int
                 held |= mask
         return not masks[i] & ~held
 
-    items = sorted(((i, v) for i, clique in enumerate(covering) for v in clique
+    items = sorted(((i, v) for i, clique in enumerate(covering) for v in _bits(clique)
                     if droppable(i, v)), key=lambda item: (item[1], item[0]))
 
     # Each entry is (next item, clique, bit): the bit goes back into the
@@ -258,20 +250,20 @@ def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> lis
     """Every minimum total clique covering, canonically ordered and deduplicated.
 
     These are the shrinks of the least maximal-clique coverings, with the
-    isolated vertices' singletons.  Each distinct clique is built once, and
-    ranked in canonical order, so sorting a covering's ranks orders its
-    cliques and the coverings too."""
+    isolated vertices' singletons.  Each distinct clique, singletons
+    included, is built once and ranked in canonical order, so sorting a
+    covering's ranks orders its cliques and the coverings too."""
     tracker = Budget.coerce(budget)
     singletons, coverings = _maximal_coverings(g, tracker, find_all=True)
     found: set[tuple[int, ...]] = set()
     for covering in coverings:
         _shrinks(covering, tracker, found)
-    distinct = sorted({mask for shrink in found for mask in shrink},
-                      key=lambda mask: (mask.bit_count(), _members(mask)))
+    distinct = sorted({mask for shrink in found for mask in shrink}.union(singletons),
+                      key=lambda mask: (mask.bit_count(), _bits(mask)))
     rank = {mask: r for r, mask in enumerate(distinct)}
-    cliques = [frozenset(_members(mask)) for mask in distinct]
-    ranked = sorted(sorted(rank[mask] for mask in shrink) for shrink in found)
-    return [singletons + tuple(cliques[r] for r in shrink) for shrink in ranked]
+    cliques = [frozenset(_bits(mask)) for mask in distinct]
+    ranked = sorted(sorted(rank[mask] for mask in singletons + shrink) for shrink in found)
+    return [tuple(cliques[r] for r in shrink) for shrink in ranked]
 
 
 def covering_from_sequence(entries: Sequence[int],
@@ -311,7 +303,8 @@ def prop1_certificate(g: Graph, independent_set: Iterable[int],
     chosen = set(independent_set)
     if not all(0 <= v < g.vertex_count for v in chosen):
         return False
-    if any(g.has_edge(u, v) for u, v in combinations(sorted(chosen), 2)):
+    mask = sum(1 << v for v in chosen)
+    if any(g.rows[v] & mask for v in chosen):
         return False
     members = [frozenset(c) for c in covering]
     if len(members) != len(chosen):

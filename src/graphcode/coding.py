@@ -147,7 +147,7 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
             tracker.charge()
             swap = 1 << u | 1 << v
             held = [(p | p >> k) & low for p in (patterns[u], patterns[v])]
-            moved = list(_bits(held[0] ^ held[1]))
+            moved = _bits(held[0] ^ held[1])
             # The cliques are distinct, so a complete image permutes moved.
             image = [clique_at.get(cliques[c] ^ swap) for c in moved]
             if not moved or None in image:
@@ -161,14 +161,15 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
     return masks
 
 
-def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget, fold: bool,
+def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: bool,
                     seed: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Lexicographically least sorted label sequence of one covering.
 
-    Vertices in no clique of two or more are labeled 1.  With fold, the
-    cliques are a least edge covering by maximal cliques M_i, and the
-    search also picks each S_i subset of M_i, every edge still covered.
-    With a seed, returns min(seed, true minimum).
+    The cliques are vertex masks that cover every edge, so the neighbours
+    of a vertex are its row of g.  Vertices in no clique of two or more are
+    labeled 1.  With fold, the cliques are a least edge covering by maximal
+    cliques M_i, and the search also picks each S_i subset of M_i, every
+    edge still covered.  With a seed, returns min(seed, true minimum).
 
     Each vertex is IN some cliques and may still join others.  An edge that
     one clique alone may hold forces both ends in.  Primes go to cliques in
@@ -206,10 +207,10 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     charge 1 per edge scanned, and grouping the vertices into twin classes
     1 per vertex.
     """
-    ordered = sorted((c for c in map(sorted, cliques) if len(c) > 1), key=lambda c: (len(c), c))
-    vertices = sorted({v for c in ordered for v in c})
+    ordered = sorted((c for c in cliques if c & (c - 1)), key=lambda c: (c.bit_count(), _bits(c)))
+    vertices = _bits(reduce(or_, ordered, 0))
     index = {v: t for t, v in enumerate(vertices)}
-    members = [[index[v] for v in c] for c in ordered]
+    members = [[index[v] for v in _bits(c)] for c in ordered]
     k, m = len(members), len(index)
     leading = (1,) * (g.vertex_count - m)
     if not k:
@@ -218,8 +219,7 @@ def _least_sequence(g: Graph, cliques: Sequence[Iterable[int]], tracker: Budget,
     for i, clique in enumerate(members):
         for v in clique:
             pattern[v] |= 1 << i
-    neighbours = [sorted({w for i in range(k) if pattern[v] >> i & 1 for w in members[i]} - {v})
-                  for v in range(m)]
+    neighbours = [[index[w] for w in _bits(g.rows[v])] for v in vertices]
 
     def touch(state: tuple, v: int) -> None:
         """Mark the packings that v's memberships feed, and that are still read, as stale."""
@@ -426,7 +426,8 @@ def sigma_of_covering(g: Graph, covering: Sequence[Iterable[int]],
     """
     if not is_total_clique_covering(g, covering):
         raise ValueError("not a total clique covering of the graph")
-    return _least_sequence(g, covering, Budget.coerce(budget), fold=False)
+    masks = [reduce(or_, (1 << v for v in clique), 0) for clique in covering]
+    return _least_sequence(g, masks, Budget.coerce(budget), fold=False)
 
 
 def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:

@@ -12,18 +12,20 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import gcd, prod
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .budget import Budget
 from .primes import divisors_above_one, factorize
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits(mask: int) -> list[int]:
     """The set bits of mask, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 class Graph:
@@ -252,21 +254,24 @@ def is_bipartite(g: Graph) -> bool:
 def independence_number(g: Graph, budget: int | Budget | None = None) -> int:
     """Exact size of a maximum independent set, by a branch and bound that
     takes each vertex, by falling degree, before it leaves it out; each node
-    charges one budget unit."""
+    charges one budget unit.  Bit t of a node's candidate mask stands for the
+    t-th vertex by falling degree (ties by id), so it branches on its lowest."""
     tracker = Budget.coerce(budget)
-    rows = g.rows
+    order = sorted(g.vertices(), key=g.degree, reverse=True)
+    position = {v: t for t, v in enumerate(order)}
+    closed = [sum(1 << position[w] for w in _bits(g.rows[v] | 1 << v)) for v in order]
     record = 0
-    stack = [(sorted(g.vertices(), key=g.degree, reverse=True), 0)]
+    stack = [((1 << g.vertex_count) - 1, 0)]
     while stack:
         candidates, current = stack.pop()
         tracker.charge()
-        if current + len(candidates) <= record:
+        if current + candidates.bit_count() <= record:
             continue
         if not candidates:
             record = current
             continue
-        v, rest = candidates[0], candidates[1:]
-        stack += ((rest, current), ([w for w in rest if not rows[v] >> w & 1], current + 1))
+        t = (candidates & -candidates).bit_length() - 1
+        stack += ((candidates ^ 1 << t, current), (candidates & ~closed[t], current + 1))
     return record
 
 

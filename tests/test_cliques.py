@@ -204,6 +204,19 @@ def test_covering_listing_builds_each_clique_once():
     assert peak < 16 * 10 ** 6
 
 
+def test_covering_index_memory_stays_small_on_one_big_clique():
+    # K_200 has one maximal clique and 19,900 edges.  An index keyed by
+    # edge tuples peaked at about 2 MB; per-vertex clique masks need a
+    # small int per edge.
+    tracemalloc.start()
+    try:
+        assert theta_t(complete_graph(200)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
 def test_covering_members_are_essential():
     # No minimum covering carries a clique whose removal still covers everything.
     rng = random.Random(31)

@@ -122,6 +122,13 @@ def test_code_small_families():
     assert code(cycle_graph(4)) == (6, 10, 21, 35)
 
 
+def test_sigma_of_covering_counts_a_repeated_vertex_once():
+    # is_total_clique_covering reads each clique as a set, so the label
+    # search must too: one clique listing 0 twice once labelled 0 with 2*2.
+    assert sigma_of_covering(complete_graph(2), [[0, 0, 1]]) == (2, 2)
+    assert sigma_of_covering(path_graph(3), [(0, 1), (1, 2, 1)]) == (2, 3, 6)
+
+
 def test_sigma_is_min_over_assignments(example_graph, example_covering):
     assert brute_force_sigma_of_covering(example_graph, example_covering) == EXAMPLE_CODE
 

@@ -82,3 +82,25 @@ def test_differential_reports_each_kind_of_difference(copy, monkeypatch):
     assert len(code_report["rose"]) + len(code_report["fell"]) == len(sample)
     lines = tool.render("atlas theta_t", theta_report)
     assert "mismatches 0" not in lines[0] and lines[1].startswith("  mismatches: ")
+
+
+def test_cli_round_compares_calls_byte_for_byte(copy, tmp_path, monkeypatch):
+    sys.path.insert(0, str(ROOT))
+    try:
+        calls = tool.cli_calls(tmp_path)
+    finally:
+        sys.path.remove(str(ROOT))
+    assert len(calls) == 4088
+    assert all(argv[-2:] == ["--budget", "1000000"] for argv in calls)
+    sample = calls[::500] + [["gen", "--family", "cycle", "--n", "2", "--budget", "10"],
+                             ["code", str(tmp_path / "missing.g6")]]
+    report = tool.compare_cli(copy, graphcode, sample)
+    assert report == {"calls": len(sample), "differ": []}
+    assert tool.render_cli(report) == [f"cli: {len(sample)} calls; differing 0"]
+    assert tool.call(copy, sample[-1])[0] == 1
+    # A copy that renders codes differently differs where a code is printed:
+    # in this sample, on the iso call alone.
+    monkeypatch.setattr(sys.modules["graphcode_copy.cli"], "render_sequence", lambda sigma: "?")
+    report = tool.compare_cli(copy, graphcode, sample)
+    assert report["differ"] == [argv for argv in sample if argv[0] == "iso"] != []
+    assert tool.render_cli(report)[1] == "  differ: " + " ".join(report["differ"][0])

@@ -9,11 +9,11 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from graphcode import (Graph, apply_permutation, complete_graph, connected_components,
-                       cycle_graph, divisor_graph, empty_graph, generate_family,
-                       graph_from_cliques, graph_from_edge_list, independence_number, is_bipartite,
-                       is_connected, isolated_vertices, path_graph, realize_sequence,
-                       two_coloring)
+from graphcode import (Budget, Graph, all_cliques, apply_permutation, complete_graph,
+                       connected_components, cycle_graph, divisor_graph, empty_graph,
+                       generate_family, graph_from_cliques, graph_from_edge_list,
+                       independence_number, is_bipartite, is_connected, isolated_vertices,
+                       path_graph, realize_sequence, two_coloring)
 
 from conftest import random_graph
 
@@ -155,6 +155,29 @@ def test_independence_number_examples():
     assert independence_number(complete_graph(5)) == 1
     assert independence_number(cycle_graph(5)) == 2
     assert independence_number(empty_graph(4)) == 4
+
+
+def test_independence_number_matches_the_oracle():
+    # A maximum independent set is a largest clique of the complement.
+    rng = random.Random(19)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.9))
+        complement = graph_from_edge_list(
+            g.vertex_count, [e for e in combinations(g.vertices(), 2) if not g.has_edge(*e)])
+        assert independence_number(g) == max(map(len, all_cliques(complement)))
+
+
+@pytest.mark.parametrize("g, alpha, units", [
+    (path_graph(12), 6, 97),
+    (cycle_graph(11), 5, 95),
+    (random_graph(random.Random(3), 14, 0.4), 6, 55),
+])
+def test_independence_number_keeps_its_node_order(g, alpha, units):
+    # The units pin the branch order: vertices by falling degree, ties by
+    # id, each taken before it is left out.
+    tracker = Budget(10 ** 4)
+    assert independence_number(g, tracker) == alpha
+    assert tracker.used == units
 
 
 def test_families():

@@ -10,8 +10,7 @@ own on each side.  Per set and function the script prints how many
 graphs each side decides, the graphs whose results differ, the graphs
 one side decides and the other does not, the total units, and, among the
 graphs both decide, how many cost more or fewer units, with the ten
-largest changes each way.  It exits 1 if any result differs or the
-checkout loses a graph.
+largest changes each way.
 
 The sets:
 - atlas: every graph on 1 to 7 vertices (perfbench/data/atlas7.g6),
@@ -21,11 +20,25 @@ The sets:
 - random: for i = 0..1999 and rng = Random(7919*i + 13), the test suite's
   random_graph(rng, rng.randint(1, 13), rng.uniform(0.1, 1.0)) for
   i < 1000 and random_blow_up(rng, 12) from there, 10^6 units each.
+
+A last round runs the command-line front end, cli.main, in process on
+both sides, on the benchmark's seed-41 cli files (written into the
+temporary directory by perfbench.workloads.write_cli_files): every cli
+workload operation; theta, covers, code and poly on each file, as text
+and with --json; divisor N --json for N = 2..119; and gen --closed-form
+on each family for a few sizes; each with --budget 10^6.  It prints the
+number of calls and of calls whose (exit code, stdout, stderr) differ,
+with the first ten of those.
+
+The script exits 1 if any result or call differs or the checkout loses a
+graph.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import importlib.util
 import io
 import subprocess
@@ -38,6 +51,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SETS = ("atlas", "gnp", "random")
 FUNCTIONS = ("code", "theta_t", "minimum_total_coverings")
 SHOW = 10
+CLI_SEED = 41
+CLI_BUDGET = 10 ** 6
+GEN_SIZES = (1, 2, 3, 5, 8, 13)
 
 
 def load(src: Path, name: str):
@@ -121,6 +137,48 @@ def render(name: str, report: dict) -> list[str]:
     return lines
 
 
+def cli_calls(workdir: Path) -> list[list[str]]:
+    """The cli round's argument lists, on the seed's cli files, which are
+    written into workdir; needs the repo root on sys.path."""
+    from perfbench.workloads import cli_inputs, write_cli_files
+    write_cli_files(CLI_SEED, workdir)
+    files, ops = cli_inputs(CLI_SEED, workdir)
+    calls = [argv for _, argv in ops]
+    for path in files:
+        for command in ("theta", "covers", "code", "poly"):
+            calls += [[command, str(path)], [command, str(path), "--json"]]
+    calls += [["divisor", str(n), "--json"] for n in range(2, 120)]
+    calls += [["gen", "--family", family, "--n", str(n), "--closed-form"]
+              for family in ("complete", "path", "cycle", "empty") for n in GEN_SIZES]
+    return [argv + ["--budget", str(CLI_BUDGET)] for argv in calls]
+
+
+def call(side, argv: list[str]) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of side's cli.main on argv; an exception
+    that escapes main stands in for the exit code."""
+    main = importlib.import_module(side.__name__ + ".cli").main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash on one side is a difference, not the end
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def compare_cli(parent, change, calls: list[list[str]]) -> dict:
+    """Run every call on both sides and collect those whose outcomes differ."""
+    return {"calls": len(calls),
+            "differ": [argv for argv in calls if call(parent, argv) != call(change, argv)]}
+
+
+def render_cli(report: dict) -> list[str]:
+    lines = [f"cli: {report['calls']} calls; differing {len(report['differ'])}"]
+    return lines + [f"  differ: {' '.join(argv)}" for argv in report["differ"][:SHOW]]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV",
@@ -141,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
                 report = compare(parent, graphcode, function, graphs, budget)
                 print("\n".join(render(f"{name} {function}", report)), flush=True)
                 failed |= bool(report["mismatches"] or report["lost"])
+        report = compare_cli(parent, graphcode, cli_calls(Path(scratch) / "cli"))
+        print("\n".join(render_cli(report)), flush=True)
+        failed |= bool(report["differ"])
     return 1 if failed else 0
 
 
