@@ -9,11 +9,11 @@ polynomial form whose structure exposes connectivity and bipartiteness.
 """
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
-from .cliques import (canonical_covering, covering_from_sequence, covering_from_text,
-                      covering_to_text, is_total_clique_covering, maximal_cliques,
-                      minimum_total_coverings, prop1_certificate, theta_t)
+from .cliques import (canonical_covering, covering_from_text, covering_to_text,
+                      is_total_clique_covering, maximal_cliques, minimum_total_coverings,
+                      prop1_certificate, theta_t)
 from .coding import (check_sequence_shape, code, coding_sequence_from_covering,
-                     is_isomorphic_by_code, lambda_of, parse_sequence,
+                     covering_from_sequence, is_isomorphic_by_code, lambda_of, parse_sequence,
                      render_sequence, sigma_of_covering, theorem1_labels,
                      validate_coding_sequence)
 from .graph_io import (GRAPH6_MAX_VERTICES, detect_format, load_graph, parse_dimacs,

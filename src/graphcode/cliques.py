@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .budget import Budget
 from .graphs import Graph, _bits
-from .primes import prime_support
 
 Clique = frozenset  # of vertex ids
 Covering = tuple    # ordered tuple of Cliques
@@ -125,10 +124,11 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     # (u, v) order, so the greedy packing meets the most constrained first.
     allowed_by_bit = sorted((holding[u] & holding[v] for u, row in enumerate(g.rows)
                              for v in _bits(row >> u << u)), key=int.bit_count)
-    covers = [0] * len(cliques)
+    rows = [bytearray(len(allowed_by_bit) + 7 >> 3) for _ in cliques]
     for i, allowed in enumerate(allowed_by_bit):
         for j in _bits(allowed):
-            covers[j] |= 1 << i
+            rows[j][i >> 3] |= 1 << (i & 7)
+    covers = [int.from_bytes(row, "little") for row in rows]
     found: list[tuple[int, ...]] = []
 
     def scan(uncovered: int, forbidden: int) -> tuple[int, int]:
@@ -264,32 +264,6 @@ def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> lis
     cliques = [frozenset(_bits(mask)) for mask in distinct]
     ranked = sorted(sorted(rank[mask] for mask in singletons + shrink) for shrink in found)
     return [tuple(cliques[r] for r in shrink) for shrink in ranked]
-
-
-def covering_from_sequence(entries: Sequence[int],
-                           budget: int | Budget | None = None) -> Covering:
-    """The covering a coding sequence induces on its own realization.
-
-    One singleton per leading 1, then one clique per distinct prime factor
-    of the sequence (ascending), holding the positions that prime divides.
-    Factoring the entries charges the budget one unit per trial divisor.
-    """
-    from .coding import check_sequence_shape  # local import to avoid a cycle
-
-    tracker = Budget.coerce(budget)
-    check_sequence_shape(entries, tracker)
-    ones = sum(1 for x in entries if x == 1)
-    cliques: list[Clique] = [frozenset({i}) for i in range(ones)]
-    support: list[int] = []
-    seen: set[int] = set()
-    for x in entries:
-        for p in prime_support(x, tracker):
-            if p not in seen:
-                seen.add(p)
-                support.append(p)
-    for p in sorted(support):
-        cliques.append(frozenset(i for i, x in enumerate(entries) if x % p == 0))
-    return tuple(cliques)
 
 
 def prop1_certificate(g: Graph, independent_set: Iterable[int],

@@ -11,6 +11,11 @@ covering's symmetries (swaps of interchangeable cliques, and the clique
 permutations that swapping two twin vertices induces) keep the labels,
 so the search only tries assignments no larger than their images under
 them; the least assignment of every orbit is one.
+
+Only this module knows the form of a labelled covering: per vertex, a
+mask of the non-singleton cliques holding it, in covering order; per
+sequence entry, a mask of its primes' ranks in the ascending support.
+Labels, sequences, the covering a sequence induces and F(G) read these.
 """
 
 from __future__ import annotations
@@ -22,20 +27,14 @@ from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .budget import Budget
-from .cliques import _maximal_coverings, is_total_clique_covering, maximal_cliques
+from .cliques import Covering, _maximal_coverings, is_total_clique_covering, maximal_cliques
 from .graphs import Graph, LabeledGraph, _bits, realize_sequence
 from .primes import first_primes, is_square_free, prime_support
 
 
-def check_sequence_shape(entries: Sequence[int], budget: int | Budget | None = None) -> None:
-    """Raise unless entries form a structurally valid coding sequence.
-
-    Required: non-empty, non-decreasing, positive, square-free above 1, and
-    every entry above 1 shares a prime with some other entry (entries equal
-    to 1, and only those, realize isolated vertices).  Factoring the entries
-    charges the budget one unit per trial divisor.
-    """
-    tracker = Budget.coerce(budget)
+def _sequence_memberships(entries: Sequence[int], tracker: Budget) -> list[int]:
+    """Raise unless entries pass check_sequence_shape; per entry, the mask
+    of its primes' ranks in the sequence's ascending prime support."""
     if not entries:
         raise ValueError("coding sequence must be non-empty")
     previous = 0
@@ -47,13 +46,42 @@ def check_sequence_shape(entries: Sequence[int], budget: int | Budget | None = N
         if x > 1 and not is_square_free(x, tracker):
             raise ValueError(f"non-trivial entry {x} is not square-free")
         previous = x
-    prime_users: dict[int, int] = {}
-    for x in entries:
-        for p in prime_support(x, tracker):
-            prime_users[p] = prime_users.get(p, 0) + 1
-    for x in entries:
-        if x > 1 and all(prime_users[p] == 1 for p in prime_support(x, tracker)):
+    supports = [prime_support(x, tracker) for x in entries]
+    rank = {p: r for r, p in enumerate(sorted({p for support in supports for p in support}))}
+    masks = [sum(1 << rank[p] for p in support) for support in supports]
+    seen = shared = 0
+    for mask in masks:
+        shared |= seen & mask
+        seen |= mask
+    for x, mask in zip(entries, masks):
+        if x > 1 and not mask & shared:
             raise ValueError(f"entry {x} would realize an isolated vertex; it must be 1")
+    return masks
+
+
+def check_sequence_shape(entries: Sequence[int], budget: int | Budget | None = None) -> None:
+    """Raise unless entries form a structurally valid coding sequence.
+
+    Required: non-empty, non-decreasing, positive, square-free above 1, and
+    every entry above 1 shares a prime with some other entry (entries equal
+    to 1, and only those, realize isolated vertices).  Factoring the entries
+    charges the budget one unit per trial divisor.
+    """
+    _sequence_memberships(entries, Budget.coerce(budget))
+
+
+def covering_from_sequence(entries: Sequence[int],
+                           budget: int | Budget | None = None) -> Covering:
+    """The covering a coding sequence induces on its own realization.
+
+    One singleton per leading 1, then one clique per distinct prime factor
+    of the sequence (ascending), holding the positions that prime divides.
+    Factoring the entries charges the budget one unit per trial divisor.
+    """
+    masks = _sequence_memberships(entries, Budget.coerce(budget))
+    return (tuple(frozenset({i}) for i, mask in enumerate(masks) if not mask)
+            + tuple(frozenset(i for i, mask in enumerate(masks) if mask >> r & 1)
+                    for r in range(reduce(or_, masks).bit_length())))
 
 
 def lambda_of(entries: Sequence[int]) -> int:
@@ -83,6 +111,30 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed sequence {text!r}") from None
 
 
+def _covering_memberships(g: Graph, covering: Sequence[Iterable[int]]) -> list[int]:
+    """Raise unless covering is a total clique covering of g; per vertex,
+    the mask of the non-singleton cliques that hold it, bit i for the i-th
+    in covering order."""
+    if not is_total_clique_covering(g, covering):
+        raise ValueError("not a total clique covering of the graph")
+    masks = [0] * g.vertex_count
+    for i, clique in enumerate(c for c in map(frozenset, covering) if len(c) > 1):
+        for v in clique:
+            masks[v] |= 1 << i
+    return masks
+
+
+def _vertex_labels(g: Graph, covering: Sequence[Iterable[int]],
+                   assignment: Sequence[int]) -> list[int]:
+    """Each vertex's product of the primes of its non-singleton cliques,
+    assignment[i] going to the i-th in covering order."""
+    masks = _covering_memberships(g, covering)
+    k = reduce(or_, masks, 0).bit_length()
+    if sorted(assignment) != sorted(first_primes(k)):
+        raise ValueError(f"assignment must be a permutation of the first {k} primes")
+    return [prod(assignment[i] for i in _bits(mask)) for mask in masks]
+
+
 def coding_sequence_from_covering(g: Graph, covering: Sequence[Iterable[int]],
                                   assignment: Sequence[int]) -> tuple[int, ...]:
     """Sorted vertex labels under one explicit prime assignment.
@@ -91,17 +143,7 @@ def coding_sequence_from_covering(g: Graph, covering: Sequence[Iterable[int]],
     covering, in covering order, and must be a permutation of the first k
     primes.  Vertices in no non-singleton clique are isolated and labeled 1.
     """
-    if not is_total_clique_covering(g, covering):
-        raise ValueError("not a total clique covering of the graph")
-    non_singletons = [c for c in map(frozenset, covering) if len(c) > 1]
-    k = len(non_singletons)
-    if sorted(assignment) != sorted(first_primes(k)):
-        raise ValueError(f"assignment must be a permutation of the first {k} primes")
-    labels = []
-    for v in g.vertices():
-        label = prod(assignment[i] for i, c in enumerate(non_singletons) if v in c)
-        labels.append(label)
-    return tuple(sorted(labels))
+    return tuple(sorted(_vertex_labels(g, covering, assignment)))
 
 
 def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int],

@@ -11,15 +11,15 @@ structure alone.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import combinations
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .budget import Budget
-from .cliques import is_total_clique_covering
-from .coding import check_sequence_shape, code
-from .graphs import Graph, connected_components, graph_from_cliques, is_bipartite
-from .primes import factorize, prime_support
+from .coding import _covering_memberships, _sequence_memberships, code
+from .graphs import Graph, _bits, connected_components, graph_from_cliques, is_bipartite
+from .primes import factorize
 
 Monomial = tuple  # strictly ascending 1-based variable indices; () is constant
 
@@ -115,16 +115,14 @@ class GraphPolynomial:
         return cls(items)
 
 
+def _poly_of(masks: Iterable[int]) -> GraphPolynomial:
+    """One monomial per mask, holding x_(i+1) for each bit i."""
+    return GraphPolynomial(Counter(tuple(i + 1 for i in _bits(mask)) for mask in masks))
+
+
 def poly_from_covering(g: Graph, covering: Sequence[Iterable[int]]) -> GraphPolynomial:
     """One monomial per vertex; the covering's non-singleton order fixes x1..xk."""
-    if not is_total_clique_covering(g, covering):
-        raise ValueError("not a total clique covering of the graph")
-    non_singletons = [frozenset(c) for c in covering if len(frozenset(c)) > 1]
-    items: dict[Monomial, int] = {}
-    for v in g.vertices():
-        monomial = tuple(i + 1 for i, c in enumerate(non_singletons) if v in c)
-        items[monomial] = items.get(monomial, 0) + 1
-    return GraphPolynomial(items)
+    return _poly_of(_covering_memberships(g, covering))
 
 
 def poly_from_sequence(entries: Sequence[int],
@@ -133,17 +131,7 @@ def poly_from_sequence(entries: Sequence[int],
 
     Factoring the entries charges the budget one unit per trial divisor.
     """
-    tracker = Budget.coerce(budget)
-    check_sequence_shape(entries, tracker)
-    support: set[int] = set()
-    for x in entries:
-        support.update(prime_support(x, tracker))
-    index = {p: i + 1 for i, p in enumerate(sorted(support))}
-    items: dict[Monomial, int] = {}
-    for x in entries:
-        monomial = tuple(index[p] for p in prime_support(x, tracker))
-        items[monomial] = items.get(monomial, 0) + 1
-    return GraphPolynomial(items)
+    return _poly_of(_sequence_memberships(entries, Budget.coerce(budget)))
 
 
 def canonical_polynomial(g: Graph, budget: int | Budget | None = None) -> GraphPolynomial:

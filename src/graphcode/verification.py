@@ -13,9 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .budget import Budget
-from .cliques import (covering_from_sequence, is_total_clique_covering,
-                      minimum_total_coverings, theta_t)
-from .coding import code, coding_sequence_from_covering, lambda_of
+from .cliques import is_total_clique_covering, minimum_total_coverings, theta_t
+from .coding import _vertex_labels, code, covering_from_sequence, lambda_of
 from .graphs import Graph, divisor_graph, is_bipartite, is_connected, isolated_vertices, realize_sequence
 from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
 from .polynomials import (canonical_polynomial, detect_bipartite_poly,
@@ -30,27 +29,14 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _map_covering_through_sort(g: Graph, covering, assignment) -> set[frozenset[int]]:
-    """Image of a covering under the vertex order induced by sorted labels."""
-    non_singletons = [frozenset(c) for c in covering if len(frozenset(c)) > 1]
-    labels = []
-    for v in g.vertices():
-        label = 1
-        for i, c in enumerate(non_singletons):
-            if v in c:
-                label *= assignment[i]
-        labels.append(label)
-    position = {v: i for i, v in enumerate(sorted(g.vertices(), key=lambda v: (labels[v], v)))}
-    return {frozenset(position[v] for v in c) for c in covering}
-
-
 def covering_round_trip_check(g: Graph, covering, assignment,
                               budget: int | Budget | None = None) -> bool:
-    """covering_from_sequence inverts coding_sequence_from_covering."""
-    sequence = coding_sequence_from_covering(g, covering, assignment)
-    rebuilt = set(covering_from_sequence(sequence, budget))
-    expected = _map_covering_through_sort(g, covering, assignment)
-    return rebuilt == expected
+    """covering_from_sequence inverts coding_sequence_from_covering: it
+    rebuilds the covering's image under the vertex order of sorted labels."""
+    labels = _vertex_labels(g, covering, assignment)
+    rebuilt = set(covering_from_sequence(tuple(sorted(labels)), budget))
+    position = {v: i for i, v in enumerate(sorted(g.vertices(), key=lambda v: (labels[v], v)))}
+    return rebuilt == {frozenset(position[v] for v in c) for c in covering}
 
 
 def theta_lambda_consistency(g: Graph, budget: int | Budget | None = None) -> bool:

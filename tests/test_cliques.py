@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -215,6 +216,17 @@ def test_covering_index_memory_stays_small_on_one_big_clique():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+def test_covering_index_transpose_is_linear_on_one_big_clique():
+    # All 1,279,200 edges of K_1600 lie in its one maximal clique.  Setting
+    # them in the clique's edge mask one int operation at a time rebuilds
+    # a growing int per edge, about 11 s of CPU; a byte row takes 2-3 s.
+    tracker = Budget()
+    start = time.process_time()
+    assert theta_t(complete_graph(1600), tracker) == 1
+    assert time.process_time() - start < 6.0
+    assert tracker.used == 2_560_002
 
 
 def test_covering_members_are_essential():

@@ -104,3 +104,40 @@ def test_cli_round_compares_calls_byte_for_byte(copy, tmp_path, monkeypatch):
     report = tool.compare_cli(copy, graphcode, sample)
     assert report["differ"] == [argv for argv in sample if argv[0] == "iso"] != []
     assert tool.render_cli(report)[1] == "  differ: " + " ".join(report["differ"][0])
+
+
+def test_conversions_round_compares_results_messages_and_units(copy, monkeypatch):
+    calls = tool.conversion_calls(graphcode)
+    assert len(calls) == 1500 * 5 + (len(tool.MALFORMED) + 1500 * 6) * 3
+    # Every covering's five calls come first, then three per sequence,
+    # the malformed cases leading.
+    sample = calls[:25] + calls[7500:7560] + calls[-25:] + calls[::700]
+    report = tool.compare_conversions(copy, graphcode, sample)
+    assert report == {"calls": len(sample), "differ": []}
+    assert tool.render_conversions(report) == [f"conversions: {len(sample)} calls; differing 0"]
+    outcomes = [tool.convert(graphcode, *c) for c in sample]
+    assert {type(result) for result, _ in outcomes} >= {tuple, list, bool}
+    assert ("ValueError", "coding sequence must be non-empty") in [r for r, _ in outcomes]
+    assert any(units for _, units in outcomes)
+    # A copy whose shape check words one error differently, and whose
+    # polynomials drop the constant term, differs on exactly those calls.
+    shape = copy.coding._sequence_memberships
+
+    def reworded(entries, tracker):
+        if entries and entries[0] == 0:
+            raise ValueError("zero entry")
+        return shape(entries, tracker)
+
+    for module in (copy.coding, copy.polynomials):
+        monkeypatch.setattr(module, "_sequence_memberships", reworded)
+    poly = copy.poly_from_covering
+    monkeypatch.setattr(copy, "poly_from_covering",
+                        lambda g, cov: copy.GraphPolynomial(
+                            {m: c for m, c in poly(g, cov).terms.items() if m}
+                            or {(1,): 1}))
+    report = tool.compare_conversions(graphcode, copy, sample)
+    zero = [c for c in sample if c[1] is None and c[2][0][:1] == (0,)]
+    constant = [c for c in sample if c[0] == "poly_from_covering"
+                and () in dict(tool.convert(graphcode, *c)[0])]
+    assert zero and report["differ"] == [c for c in sample if c in zero or c in constant]
+    assert tool.render_conversions(report)[1].startswith("  differ: ")

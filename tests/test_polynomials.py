@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcode import (GraphPolynomial, canonical_polynomial, closed_form_family,
-                       code, complete_graph, cycle_graph,
+                       code, coding_sequence_from_covering, complete_graph, cycle_graph,
                        divisor_graph, divisor_graph_polynomial_closed_form,
-                       detect_bipartite_poly, detect_disconnected_poly, empty_graph,
+                       detect_bipartite_poly, detect_disconnected_poly, empty_graph, first_primes,
                        graph_from_edge_list, is_bipartite, is_connected,
                        isolated_vertices, maximal_cliques, minimum_total_coverings,
                        path_graph, poly_from_covering, poly_from_sequence, theta_t)
 
-from conftest import random_graph, random_total_covering
+from conftest import random_assignment, random_blow_up, random_graph, random_total_covering
 
 EXAMPLE_CODE = (2, 2, 3, 3, 5, 7, 10, 10, 10, 11, 231)
 EXAMPLE_F = "2*x1 + 2*x2 + x3 + x4 + x5 + 3*x1*x3 + x2*x4*x5"
@@ -184,6 +184,25 @@ def test_detectors_agree_on_arbitrary_coverings():
         f = poly_from_covering(g, random_total_covering(rng, g))
         assert detect_disconnected_poly(f) == (not is_connected(g))
         assert detect_bipartite_poly(f) == is_bipartite(g)
+
+
+def test_covering_and_its_coding_sequence_share_a_polynomial():
+    # x_i is the i-th non-singleton clique on one side and the i-th smallest
+    # prime of the sequence on the other: the same variable once the primes
+    # go to the cliques in covering order.
+    rng = random.Random(53)
+    for i in range(300):
+        g = (random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 1.0)) if i % 2
+             else random_blow_up(rng, 9))
+        covering = random_total_covering(rng, g)
+        cliques = [c for c in covering if len(c) > 1]
+        sequence = coding_sequence_from_covering(g, covering, first_primes(len(cliques)))
+        assert poly_from_covering(g, covering) == poly_from_sequence(sequence)
+        assignment = random_assignment(rng, covering)
+        by_prime = [c for _, c in sorted(zip(assignment, cliques))]
+        singletons = [c for c in covering if len(c) == 1]
+        assert (poly_from_covering(g, by_prime + singletons)
+                == poly_from_sequence(coding_sequence_from_covering(g, covering, assignment)))
 
 
 def test_mass_and_constant_track_vertices():

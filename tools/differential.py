@@ -30,6 +30,23 @@ on each family for a few sizes; each with --budget 10^6.  It prints the
 number of calls and of calls whose (exit code, stdout, stderr) differ,
 with the first ten of those.
 
+A conversions round calls the covering and sequence conversions on
+both sides, each under a budget of 10^5 units where it takes one.  For
+i = 0..1499 and rng = Random(7919*i + 13) it draws the test suite's
+random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 1.0)) for i < 750
+and random_blow_up(rng, 9) from there, then random_total_covering and
+random_assignment.  On each covering it calls
+coding_sequence_from_covering (also on the covering less its last clique
+and with one prime too many), poly_from_covering and
+covering_round_trip_check.  check_sequence_shape, covering_from_sequence
+and poly_from_sequence then run on the coding sequence, on five malformed
+variants of it (reversed, with a 0, with a square factor, with an
+isolated prime, without its first entry) and on the malformed cases and
+the hard entry of tests/test_coding.py.  Each call's result, or its
+exception type and message, and the units it used are compared; the
+script prints the number of calls and of calls that differ, with the
+first ten of those.
+
 The script exits 1 if any result or call differs or the checkout loses a
 graph.
 """
@@ -54,6 +71,11 @@ SHOW = 10
 CLI_SEED = 41
 CLI_BUDGET = 10 ** 6
 GEN_SIZES = (1, 2, 3, 5, 8, 13)
+CONVERSION_BUDGET = 10 ** 5
+FROM_SEQUENCE = ("check_sequence_shape", "covering_from_sequence", "poly_from_sequence")
+BUDGETED = ("covering_round_trip_check",) + FROM_SEQUENCE
+HARD = 2 * (10 ** 9 + 7) * (10 ** 9 + 9)
+MALFORMED = ((), (0,), (3, 2), (2, 4), (2, 3), (1, 2), (2, 2, 5), (HARD, HARD))
 
 
 def load(src: Path, name: str):
@@ -179,6 +201,63 @@ def render_cli(report: dict) -> list[str]:
     return lines + [f"  differ: {' '.join(argv)}" for argv in report["differ"][:SHOW]]
 
 
+def conversion_calls(lib) -> list[tuple[str, tuple | None, tuple]]:
+    """(function, (vertex count, edges) or None, other arguments) of each
+    call in the conversions round; lib computes the coding sequences, and
+    tests/ must be on sys.path."""
+    from random import Random
+
+    from conftest import random_assignment, random_blow_up, random_graph, random_total_covering
+    calls = []
+    sequences = list(MALFORMED)
+    for i in range(1500):
+        rng = Random(7919 * i + 13)
+        g = (random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 1.0)) if i < 750
+             else random_blow_up(rng, 9))
+        covering = random_total_covering(rng, g)
+        assignment = random_assignment(rng, covering)
+        graph = (g.vertex_count, g.sorted_edges())
+        primes = lib.first_primes(len(assignment) + 1)
+        calls += [("coding_sequence_from_covering", graph, (covering, assignment)),
+                  ("coding_sequence_from_covering", graph, (covering[:-1], assignment)),
+                  ("coding_sequence_from_covering", graph, (covering, assignment + primes[-1:])),
+                  ("poly_from_covering", graph, (covering,)),
+                  ("covering_round_trip_check", graph, (covering, assignment))]
+        entries = lib.coding_sequence_from_covering(g, covering, assignment)
+        sequences += [entries, entries[::-1], (0,) + entries,
+                      entries[:-1] + (4 * entries[-1],),
+                      tuple(sorted(entries + primes[-1:])), entries[1:]]
+    return calls + [(function, None, (entries,)) for entries in sequences
+                    for function in FROM_SEQUENCE]
+
+
+def convert(side, function: str, graph: tuple | None, args: tuple) -> tuple:
+    """(result, or exception type and message; units used) of one call on
+    side; a polynomial stands as its terms in insertion order."""
+    tracker = side.Budget(CONVERSION_BUDGET)
+    head = (side.graph_from_edge_list(*graph),) if graph else ()
+    tail = (tracker,) if function in BUDGETED else ()
+    try:
+        result = getattr(side, function)(*head, *args, *tail)
+    except Exception as exc:
+        result = (type(exc).__name__, str(exc))
+    if isinstance(result, side.GraphPolynomial):
+        result = list(result.terms.items())
+    return result, tracker.used
+
+
+def compare_conversions(parent, change, calls: list) -> dict:
+    """Run every conversion call on both sides and collect those that differ."""
+    return {"calls": len(calls),
+            "differ": [c for c in calls if convert(parent, *c) != convert(change, *c)]}
+
+
+def render_conversions(report: dict) -> list[str]:
+    lines = [f"conversions: {report['calls']} calls; differing {len(report['differ'])}"]
+    return lines + [f"  differ: {function} {graph} {args}"
+                    for function, graph, args in report["differ"][:SHOW]]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV",
@@ -201,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
                 failed |= bool(report["mismatches"] or report["lost"])
         report = compare_cli(parent, graphcode, cli_calls(Path(scratch) / "cli"))
         print("\n".join(render_cli(report)), flush=True)
+        failed |= bool(report["differ"])
+        report = compare_conversions(parent, graphcode, conversion_calls(graphcode))
+        print("\n".join(render_conversions(report)), flush=True)
         failed |= bool(report["differ"])
     return 1 if failed else 0
 
