@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, combinations, combinations_with_replacement
-from math import lcm, prod
+from math import inf, lcm, prod
 from operator import mul, or_
 from typing import Iterable, Sequence
 
@@ -236,18 +236,17 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
     packings, the products and the cliques' primes.  A drop or join copies
     all but the primes; a child that assigns primes copies the last two
     and shares the rest, as primes never change a packing.  Nodes wait on
-    one stack and are taken depth-first.  A membership split pushes its
-    two children, leaving first, each evaluated when taken.  Any other
-    node with two or more choices or children evaluates each child
-    (siblings share a drop) and pushes them to be taken in ascending order
-    of their floors, so good labellings come early and cut the rest; a
-    child whose floor reaches the incumbent is skipped.  A packing is
-    cached until a change to its vertex's or a neighbour's memberships
-    marks it stale, and is computed where read.  A node charges 1 + m + k
-    units for its m labels and k cliques, once, whether its parent
-    evaluates it or it is evaluated when taken; propagation and packing
-    charge 1 per edge scanned, and grouping the vertices into twin classes
-    1 per vertex.
+    one stack and are taken depth-first.  Every node is evaluated when it
+    is made: the root before it is pushed, any other node by the parent
+    that makes it.  A node pushes its children (siblings share a drop) to
+    be taken in ascending order of their floors, a split's leave child
+    first on equal floors, so good labellings come early and cut the rest;
+    a node whose floor reaches the incumbent when taken is skipped.  A
+    packing is cached until a change to its vertex's or a neighbour's
+    memberships marks it stale, and is computed where read.  A node
+    charges 1 + m + k units for its m labels and k cliques once, when it
+    is evaluated; propagation and packing charge 1 per edge scanned, and
+    grouping the vertices into twin classes 1 per vertex.
     """
     ordered = sorted((c for c in cliques if c & (c - 1)), key=lambda c: (c.bit_count(), _bits(c)))
     vertices = _bits(reduce(or_, ordered, 0))
@@ -255,8 +254,9 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
     members = [[index[v] for v in _bits(c)] for c in ordered]
     k, m = len(members), len(index)
     leading = (1,) * (g.vertex_count - m)
+    incumbent = seed if seed is not None else (inf,)
     if not k:
-        return min(seed, leading) if seed is not None else leading
+        return min(incumbent, leading)
     pattern = [0] * m
     for i, clique in enumerate(members):
         for v in clique:
@@ -413,13 +413,12 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
                     products[v] *= p
         return (inside, free, need, products, prime_of), bits
 
-    incumbent = seed
-    # Each entry is (state, j, assigned, block, evaluation or None).
-    stack = [((inside, pattern[:], [None] * m, [1] * m, [0] * k), 0, 0, 0, None)]
+    root = (inside, pattern[:], [None] * m, [1] * m, [0] * k)
+    # Each entry is (state, j, assigned, block, evaluation).
+    stack = [(root, 0, 0, 0, evaluate(root, 0, 0, 0))]
     while stack:
-        state, j, assigned, block, evaluation = stack.pop()
-        floor, ties = evaluation or evaluate(state, j, assigned, block)
-        if incumbent is not None and floor >= incumbent:
+        state, j, assigned, block, (floor, ties) = stack.pop()
+        if floor >= incumbent:
             continue
         if not ties:
             incumbent = floor
@@ -442,7 +441,6 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
             choices = [(0, 0, drop, steps(opened, assigned)) for opened in dict.fromkeys(done)]
             choices += [(w, free[w] & ~inside[w], drop, steps(inside[w] & ~assigned, assigned))
                         for w in ties if free[w] != inside[w] and inside[w] & ~assigned not in done]
-        ranked = u is None and (len(choices) > 1 or len(choices[0][3]) > 1)
         children = []
         for w, bits, act, choice_steps in choices:
             base = state
@@ -452,10 +450,9 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
             for cliques, rest in choice_steps:
                 child, labelled = label(base, cliques, j) if cliques else (base, 0)
                 at, taken = j + len(cliques), assigned | labelled
-                children.append((child, at, taken, rest,
-                                 evaluate(child, at, taken, rest) if ranked else None))
-        if ranked:
-            children.sort(key=lambda node: node[4][0])
+                children.append((child, at, taken, rest, evaluate(child, at, taken, rest)))
+        # Stable: on equal floors a split still takes its leave child first.
+        children.sort(key=lambda node: node[4][0])
         stack += reversed(children)
     return incumbent
 

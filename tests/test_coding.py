@@ -215,13 +215,24 @@ def test_label_search_finds_sigma_before_proving_it():
 
 
 def test_an_ordered_child_is_applied_once():
-    # A child evaluated to order its siblings keeps its state for its
-    # visit.  Applying its drop and primes again there, and recomputing
-    # the packings that marked stale, took 11,238 and 343 units.
-    for text, units in (("Fd~vw", 9_454), ("Dl{", 333)):
+    # A child, evaluated when its parent makes it to order its siblings,
+    # keeps its state for its visit.  Applying its drop and primes again
+    # there, and recomputing the packings that marked stale, took 11,238
+    # and 343 units.
+    for text, units in (("Fd~vw", 9_490), ("Dl{", 333)):
         tracker = Budget()
         code(parse_graph6(text), tracker)
         assert tracker.used == units
+
+
+def test_a_membership_split_takes_its_children_in_floor_order():
+    # Graph 165 of the perfbench gnp pool for seed 41, G(20, 0.3) with 172
+    # least coverings.  Taking a split's leave child before its join child
+    # whatever their floors, it took 193,561 units; in floor order 69,470.
+    g = parse_graph6("SUHUC?@XAY@_J@GydCvCC?@@oT?E?Q@_O")
+    assert code(g, budget=Budget(10 ** 5)) == (
+        30, 42, 715, 2261, 7337, 26381, 51127, 77221, 241133, 343498, 478661, 770918, 958263,
+        1049087, 2694941, 5744327, 29903063, 41415313, 52921879, 176162857)
 
 
 def complete_bipartite(a: int, b: int):
