@@ -11,12 +11,14 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
 from .cliques import covering_to_text, minimum_total_coverings
 from .coding import code, parse_sequence, render_sequence
-from .graph_io import load_graph, render_edge_list
-from .graphs import divisor_graph, generate_family, realize_sequence
+from .graph_io import edge_list_lines, load_graph
+from .graphs import Graph, divisor_graph, generate_family, realize_sequence
 from .oracle import brute_force_isomorphic
 from .polynomials import (canonical_polynomial, closed_form_family,
                           divisor_graph_polynomial_closed_form)
@@ -37,11 +39,16 @@ def _budget_from(args: argparse.Namespace) -> Budget:
     return Budget(DEFAULT_BUDGET)
 
 
-def _emit(args: argparse.Namespace, data: dict, human: list[str]) -> None:
+def _emit(args: argparse.Namespace, data: dict, human: Iterable[str],
+          graph: Graph | None = None) -> None:
+    """Print data as JSON, with the graph's edges if one is given, or else
+    the human lines, which may be made one at a time."""
     if args.json:
+        if graph is not None:
+            data["edges"] = [list(e) for e in graph.sorted_edges()]
         print(json.dumps(data, sort_keys=True))
     else:
-        print("\n".join(human))
+        sys.stdout.writelines(f"{line}\n" for line in human)
 
 
 def _cmd_code(args) -> int:
@@ -112,17 +119,16 @@ def _cmd_divisor(args) -> int:
     tracker = _budget_from(args)
     labeled = divisor_graph(args.n, tracker)
     g = labeled.graph
-    data = {"n": args.n, "vertices": g.vertex_count,
-            "labels": list(labeled.labels),
-            "edges": [list(e) for e in g.sorted_edges()]}
+    data = {"n": args.n, "vertices": g.vertex_count, "labels": list(labeled.labels)}
     human = [f"divisor graph of {args.n}: {g.vertex_count} vertices, {g.edge_count} edges",
-             "labels: " + " ".join(str(d) for d in labeled.labels),
-             render_edge_list(g).rstrip("\n")]
+             "labels: " + " ".join(str(d) for d in labeled.labels)]
+    tail = []
+    agrees = True
     closed = divisor_graph_polynomial_closed_form(args.n, tracker)
     if args.closed_form:
         data["polynomial"] = closed.render()
         data["method"] = "closed-form"
-        human.append(f"F (closed form): {closed.render()}")
+        tail.append(f"F (closed form): {closed.render()}")
     else:
         pipeline = canonical_polynomial(g, tracker)
         # theta_t is the code's prime count plus the isolated count.
@@ -130,13 +136,12 @@ def _cmd_divisor(args) -> int:
         agrees = pipeline == closed
         data.update({"theta_t": theta, "polynomial": pipeline.render(),
                      "method": "pipeline", "closed_form_agrees": agrees})
-        human.append(f"theta_t: {theta}")
-        human.append(f"F: {pipeline.render()}")
-        human.append(f"closed-form cross-check: {'ok' if agrees else 'MISMATCH'}")
-        if not agrees:
-            _emit(args, data, human)
-            raise AssertionError("pipeline polynomial disagrees with the closed form")
-    _emit(args, data, human)
+        tail.append(f"theta_t: {theta}")
+        tail.append(f"F: {pipeline.render()}")
+        tail.append(f"closed-form cross-check: {'ok' if agrees else 'MISMATCH'}")
+    _emit(args, data, chain(human, edge_list_lines(g), tail), g)
+    if not agrees:
+        raise AssertionError("pipeline polynomial disagrees with the closed form")
     return 0
 
 
@@ -145,10 +150,8 @@ def _cmd_realize(args) -> int:
     n = len(entries)
     _budget_from(args).charge(n * (n - 1) // 2)
     labeled = realize_sequence(entries)
-    data = {"labels": list(labeled.labels),
-            "edges": [list(e) for e in labeled.graph.sorted_edges()],
-            "vertices": labeled.graph.vertex_count}
-    _emit(args, data, [render_edge_list(labeled.graph).rstrip("\n")])
+    data = {"labels": list(labeled.labels), "vertices": labeled.graph.vertex_count}
+    _emit(args, data, edge_list_lines(labeled.graph), labeled.graph)
     return 0
 
 
@@ -157,17 +160,15 @@ def _cmd_gen(args) -> int:
     edges = {"complete": n * (n - 1) // 2, "path": n - 1, "cycle": n}.get(args.family, 0)
     _budget_from(args).charge(n + edges)
     g = generate_family(args.family, args.n)
-    data = {"family": args.family, "n": args.n,
-            "edges": [list(e) for e in g.sorted_edges()],
-            "vertices": g.vertex_count}
-    human = [render_edge_list(g).rstrip("\n")]
+    data = {"family": args.family, "n": args.n, "vertices": g.vertex_count}
+    human = []
     if args.closed_form:
         sigma, polynomial = closed_form_family(args.family, args.n)
         data["code"] = list(sigma)
         data["polynomial"] = polynomial.render()
         human.append(f"code: {render_sequence(sigma)}")
         human.append(f"F: {polynomial.render()}")
-    _emit(args, data, human)
+    _emit(args, data, chain(edge_list_lines(g), human), g)
     return 0
 
 

@@ -26,6 +26,8 @@ from .graphs import Graph, _bits
 
 Clique = frozenset  # of vertex ids
 Covering = tuple    # ordered tuple of Cliques
+# The set bits of each byte value, ascending.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
 
 
 def maximal_cliques(g: Graph, budget: int | Budget | None = None) -> set[Clique]:
@@ -120,12 +122,25 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     for j, mask in enumerate(cliques):
         for v in _bits(mask):
             holding[v] |= 1 << j
-    # Edge bits run from the fewest candidate cliques to the most, ties in
+    # Edges run from the fewest candidate cliques to the most, ties in
     # (u, v) order, so the greedy packing meets the most constrained first.
-    allowed_by_bit = sorted((holding[u] & holding[v] for u, row in enumerate(g.rows)
-                             for v in _bits(row >> u << u)), key=int.bit_count)
-    rows = [bytearray(len(allowed_by_bit) + 7 >> 3) for _ in cliques]
-    for i, allowed in enumerate(allowed_by_bit):
+    allowed_by_edge = sorted((holding[u] & holding[v] for u, row in enumerate(g.rows)
+                              for v in _bits(row >> u << u)), key=int.bit_count)
+    # A clique that alone holds some edge is in every covering; the rest
+    # need at least their packing bound of further cliques.
+    tracker.charge(1 + len(allowed_by_edge))
+    alone = 0
+    for allowed in allowed_by_edge:
+        if not allowed & (allowed - 1):
+            alone |= allowed
+    forced = tuple(_bits(alone))
+    # Bit i of a search mask is the i-th edge that no forced clique holds;
+    # each is indexed as (allowed cliques, their count, i), eight to a chunk.
+    edges = [allowed for allowed in allowed_by_edge if not allowed & alone]
+    chunks = [[(allowed, allowed.bit_count(), i) for i, allowed in enumerate(edges[at:at + 8], at)]
+              for at in range(0, len(edges), 8)]
+    rows = [bytearray(len(chunks)) for _ in cliques]
+    for i, allowed in enumerate(edges):
         for j in _bits(allowed):
             rows[j][i >> 3] |= 1 << (i & 7)
     covers = [int.from_bytes(row, "little") for row in rows]
@@ -136,39 +151,31 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
 
         The bound is -1 when some edge has no allowed candidate.  An edge
         with a single one ends the scan early with bound 0, since that
-        clique is forced.  Charges 1 plus the edges scanned."""
+        clique is forced.  The uncovered edges are read a byte at a time.
+        Charges 1 plus the edges scanned."""
         keep = ~forbidden
         blocked = bound = 0
-        fewest = fewest_count = 0
-        scanned = 1
-        while uncovered:
-            low = uncovered & -uncovered
-            uncovered ^= low
-            scanned += 1
-            allowed = allowed_by_bit[low.bit_length() - 1] & keep
-            if not allowed & (allowed - 1):
-                tracker.charge(scanned)
-                return (0, allowed) if allowed else (-1, 0)
-            if not allowed & blocked:
-                bound += 1
-                blocked |= allowed
-            count = allowed.bit_count()
-            if not fewest or count < fewest_count:
-                fewest, fewest_count = allowed, count
-        tracker.charge(scanned)
+        fewest, fewest_count = 0, len(cliques) + 1
+        for chunk, byte in zip(chunks, uncovered.to_bytes(len(chunks), "little")):
+            for b in _BYTE_BITS[byte]:
+                allowed, count, i = chunk[b]
+                # Only forbidding takes an unforced edge below two candidates.
+                if allowed & forbidden:
+                    allowed &= keep
+                    if not allowed & (allowed - 1):
+                        # It scanned the uncovered edges up to i.
+                        tracker.charge(1 + (uncovered & ((2 << i) - 1)).bit_count())
+                        return (0, allowed) if allowed else (-1, 0)
+                    count = allowed.bit_count()
+                if not allowed & blocked:
+                    bound += 1
+                    blocked |= allowed
+                if count < fewest_count:
+                    fewest, fewest_count = allowed, count
+        tracker.charge(1 + uncovered.bit_count())
         return bound, fewest
 
-    # A clique that alone holds some edge is in every covering; the rest
-    # need at least their packing bound of further cliques.
-    tracker.charge(1 + len(allowed_by_bit))
-    alone = 0
-    for allowed in allowed_by_bit:
-        if not allowed & (allowed - 1):
-            alone |= allowed
-    forced = tuple(_bits(alone))
-    uncovered = (1 << len(allowed_by_bit)) - 1
-    for j in forced:
-        uncovered &= ~covers[j]
+    uncovered = (1 << len(edges)) - 1
     depth = scan(uncovered, 0)[0] if uncovered else 0
     while not found:
         stack = [(uncovered, 0, forced, depth)]

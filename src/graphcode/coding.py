@@ -166,27 +166,45 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
     constraint A <= A o pi, in clique-index order, of one symmetry, so the
     least assignment A of each orbit under the group they generate meets
     all of them together.  Only the members of the cliques pi moves
-    change pattern, so only theirs are compared.  Each pair tested charges
-    one unit.
+    change pattern, so only theirs are compared; two cliques that share
+    no member are compared through signatures, each from its own members
+    alone.  Each pair of cliques, and each pair of twins, charges one unit.
     """
     both = 1 | 1 << k
     low = (1 << k) - 1
-    # A swap keeps each member's IN and total counts, so cliques whose
-    # members' counts differ are never interchangeable.
-    shape = [sorted(((p & low).bit_count(), p.bit_count(), p >> c & both)
-                    for p in patterns if p >> c & both) for c in range(k)]
+    # One unit per pair, as if charged one by one: a budget that runs out
+    # stops one unit past its limit.
+    pairs = k * (k - 1) // 2 + sum(len(group) * (len(group) - 1) // 2 for group in twins)
+    tracker.charge(min(pairs, tracker.limit + 1 - tracker.used))
+    # A swap keeps each member's IN and total counts, so only cliques whose
+    # members' counts agree can be interchangeable.
+    shapes: dict[tuple, list[int]] = {}
+    for c in range(k):
+        shape = sorted([((patterns[v] & low).bit_count(), patterns[v].bit_count(),
+                         patterns[v] >> c & both) for v in _bits(cliques[c])])
+        shapes.setdefault(tuple(shape), []).append(c)
     masks = [0] * k
-    for a, b in combinations(range(k), 2):
-        tracker.charge()
-        pair = 1 << a | 1 << b
-        if shape[a] == shape[b]:
-            reference = sorted(patterns[v] for v in _bits(cliques[a] | cliques[b]))
-            if sorted(p ^ ((p >> a ^ p >> b) & both) * pair for p in reference) == reference:
+    signatures: list[list | None] = [None] * k
+    for group in shapes.values():
+        for a, b in combinations(group, 2):
+            if cliques[a] & cliques[b]:
+                pair = 1 << a | 1 << b
+                reference = sorted([patterns[v] for v in _bits(cliques[a] | cliques[b])])
+                if sorted([p ^ ((p >> a ^ p >> b) & both) * pair for p in reference]) == reference:
+                    masks[b] |= 1 << a
+                continue
+            # Cliques that share no member swap as a symmetry exactly when
+            # their members' patterns, less the clique's own bits, agree
+            # with the members' states in it.
+            for c in (a, b):
+                if signatures[c] is None:
+                    signatures[c] = sorted([(patterns[v] & ~(both << c), patterns[v] >> c & both)
+                                            for v in _bits(cliques[c])])
+            if signatures[a] == signatures[b]:
                 masks[b] |= 1 << a
     clique_at = {members: c for c, members in enumerate(cliques)}
     for group in twins:
         for u, v in combinations(group, 2):
-            tracker.charge()
             swap = 1 << u | 1 << v
             held = [(p | p >> k) & low for p in (patterns[u], patterns[v])]
             moved = _bits(held[0] ^ held[1])
@@ -278,11 +296,11 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
         tracker.charge(1 + len(neighbours[v]))
         mine, held = inside[v], free[v]
         packing = []
-        blocked = 0
-        for holders in sorted((held & free[w] for w in neighbours[v] if not mine & inside[w]),
+        blocked = mine
+        for holders in sorted([held & free[w] for w in neighbours[v] if not mine & inside[w]],
                               key=int.bit_count):
-            if not holders & (mine | blocked):
-                packing.append((holders, [i for i in range(k) if holders >> i & 1]))
+            if not holders & blocked:
+                packing.append((holders, _bits(holders)))
                 blocked |= holders
         need[v] = packed = tuple(packing)
         return packed
@@ -337,36 +355,31 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
         [sum(1 << v for v in clique) for clique in members],
         [group for group in classes.values() if len(group) > 1], tracker)
 
-    def undecided_floor(state: tuple, v: int, opened: int, j: int, assigned: int, block: int,
-                        width: int) -> int:
-        _, _, need, products, prime_of = state
-        value = products[v]
-        extra = 0
-        for holders, cliques in need[v] if need[v] is not None else must_join(state, v):
-            if holders & assigned:
-                value *= min(prime_of[i] for i in cliques if assigned >> i & 1)
-            else:
-                extra += 1
-        inner = (opened & block).bit_count()
-        spare = min(extra, width - inner)
-        return (value * suffix[j][inner + spare]
-                * suffix[j + width][(opened & ~block).bit_count() + extra - spare])
-
     def evaluate(state: tuple, j: int, assigned: int,
                  block: int) -> tuple[tuple[int, ...], list[int]]:
         """Charge one node; its sorted floors and its least-floor vertices."""
         tracker.charge(1 + m + k)
-        inside, free, _, products, _ = state
+        inside, free, need, products, prime_of = state
         width = block.bit_count()
         here, after = suffix[j], suffix[j + width]
         values = []
-        least = None
+        least = inf
         ties: list[int] = []
+        unassigned = ~assigned
         for v in range(m):
             mine = inside[v]
-            opened = mine & ~assigned
+            opened = mine & unassigned
             if free[v] != mine:
-                value = undecided_floor(state, v, opened, j, assigned, block, width)
+                value = products[v]
+                extra = 0
+                for holders, cliques in need[v] if need[v] is not None else must_join(state, v):
+                    if holders & assigned:
+                        value *= min(map(prime_of.__getitem__, cliques))
+                    else:
+                        extra += 1
+                inner = (opened & block).bit_count()
+                spare = min(extra, width - inner)
+                value *= here[inner + spare] * after[(opened & ~block).bit_count() + extra - spare]
             elif not opened:
                 values.append(products[v])
                 continue
@@ -376,7 +389,7 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
             else:
                 value = products[v] * here[opened.bit_count()]
             values.append(value)
-            if least is None or value < least:
+            if value < least:
                 least, ties = value, [v]
             elif value == least:
                 ties.append(v)
@@ -413,7 +426,8 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
                     products[v] *= p
         return (inside, free, need, products, prime_of), bits
 
-    root = (inside, pattern[:], [None] * m, [1] * m, [0] * k)
+    # An unprimed clique's prime is inf, so a least prime is a plain min.
+    root = (inside, pattern[:], [None] * m, [1] * m, [inf] * k)
     # Each entry is (state, j, assigned, block, evaluation).
     stack = [(root, 0, 0, 0, evaluate(root, 0, 0, 0))]
     while stack:

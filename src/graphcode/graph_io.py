@@ -11,8 +11,9 @@ header is checked before anything is built from it.
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
-from .graphs import Graph, graph_from_edge_list
+from .graphs import Graph, _bits, graph_from_edge_list
 
 GRAPH6_MAX_VERTICES = 62
 # The exact searches are exponential and meant for a few dozen vertices;
@@ -68,11 +69,17 @@ def parse_edge_list(text: str) -> Graph:
     return graph_from_edge_list(n, edges)
 
 
+def edge_list_lines(g: Graph) -> Iterator[str]:
+    """The lines of render_edge_list, without newlines, made one at a time."""
+    yield f"{g.vertex_count} {g.edge_count}"
+    for u, row in enumerate(g.rows):
+        for v in _bits(row >> u << u):
+            yield f"{u} {v}"
+
+
 def render_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list, edges sorted for determinism."""
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in edge_list_lines(g))
 
 
 def parse_dimacs(text: str) -> Graph:

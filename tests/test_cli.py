@@ -384,6 +384,28 @@ def test_console_script(tmp_path):
     assert "error" in result.stderr
 
 
+def test_gen_writes_its_edge_list_without_holding_it(tmp_path):
+    # K_1000 has 499,500 edges.  Holding each as a tuple, a JSON list and a
+    # text line took about 160 MB of max RSS; written line by line, the
+    # text needs no copy of the edge list.
+    measured = ("import resource, sys\nfrom graphcode.cli import main\n"
+                "status = main(sys.argv[1:])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                "sys.exit(status)")
+    out = tmp_path / "k1000.edges"
+    with out.open("w") as f:
+        result = subprocess.run([sys.executable, "-c", measured, "gen", "--family", "complete",
+                                 "--n", "1000"], stdout=f, stderr=subprocess.PIPE, text=True,
+                                env=checkout_env(), timeout=60)
+    assert result.returncode == 0
+    # ru_maxrss is in KB on Linux and in bytes on macOS.
+    scale = 1 if sys.platform == "darwin" else 1024
+    assert int(result.stderr) * scale < 64 * 2 ** 20
+    with out.open() as f:
+        assert next(f) == "1000 499500\n" and next(f) == "0 1\n"
+        assert sum(1 for _ in f) == 499_499
+
+
 @pytest.mark.parametrize("argv", [
     # two prime factors near 10^9: factoring trial-divides up to 10^9
     ("divisor", "1000000016000000063", "--budget", "100000"),

@@ -342,6 +342,18 @@ def test_label_search_set_up_stays_small_on_long_paths():
     assert peak < 4 * 2 ** 20
 
 
+def test_symmetry_set_up_costs_little_per_unit_on_long_paths():
+    # The path's 999 edges are its cliques, and the set-up charges one unit
+    # for each of their 498,501 pairs.  Testing every pair took 2-5 s of
+    # CPU, most of this call; cliques that share no member are matched by
+    # signature instead, at the same charges.
+    tracker = Budget()
+    start = time.process_time()
+    code(path_graph(1000), tracker)
+    assert time.process_time() - start < 1.5
+    assert tracker.used == 4_502_496
+
+
 def test_code_matches_oracle_on_random_graphs():
     rng = random.Random(13)
     for _ in range(50):
@@ -528,6 +540,30 @@ def test_one_budget_runs_the_covering_search_once_per_graph(example_graph, monke
     monkeypatch.setattr(graphcode.cliques, "maximal_cliques", counted)
     assert is_isomorphic_by_code(example_graph, example_graph, Budget())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("graph6, edges, units", [
+    # G(n, 0.8) graphs from graphs.random_graph(n, 0.8, Random(1000 * n + s)),
+    # s = 16, 11, 35 for n = 16 and s = 39 for n = 14.  No clique is forced
+    # in any of them, so the covering search indexes all their edges, at,
+    # below and above a multiple of 8.
+    (r"O~l~y~\~uvvV}V^^~lr~U", 96, (19_866, 7_808, 60_614)),
+    ("OnK~F}z^|~^x|Tu~Q~~~~", 95, (5_686, 1_992, 177_381)),
+    ("O~^uuTuvr~n~nyX|~l|~~", 96, (26_016, 18_544, 25_021)),
+    ("Mrrz~Zv~~v|w^jl~_", 73, (3_127, 1_480, 2_076)),
+])
+def test_units_of_the_searches_are_pinned_on_dense_graphs(graph6, edges, units):
+    # A unit is a step of work, so a faster kernel must charge exactly
+    # what the slower one did: code, theta_t and minimum_total_coverings,
+    # each under a budget of its own.
+    g = parse_graph6(graph6)
+    assert g.edge_count == edges
+    used = []
+    for search in (code, theta_t, minimum_total_coverings):
+        tracker = Budget()
+        search(g, tracker)
+        used.append(tracker.used)
+    assert tuple(used) == units
 
 
 def test_theta_t_stops_at_its_first_witness():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -35,10 +36,19 @@ def test_differential_finds_no_change_between_equal_trees(copy):
         assert report["decided"] == [len(sample), len(sample)]
         assert report["units"][0] == report["units"][1] > 0
         assert not any(report[key] for key in ("mismatches", "lost", "gained", "rose", "fell"))
-        assert tool.render(f"atlas {function}", report) == [
-            f"atlas {function}: 13 graphs, 1000000 units each; decided 13 -> 13; "
-            f"mismatches 0; units {report['units'][0]} -> {report['units'][1]}; "
-            f"rose 0, fell 0"]
+        assert min(report["seconds"]) > 0
+        [line] = tool.render(f"atlas {function}", report)
+        head = (f"atlas {function}: 13 graphs, 1000000 units each; decided 13 -> 13; "
+                f"mismatches 0; units {report['units'][0]} -> {report['units'][1]}; "
+                f"rose 0, fell 0; ")
+        # Then each side's CPU time, and that time over its units.
+        cpu = re.fullmatch(re.escape(head) + r"cpu (\d+\.\d\d) s -> (\d+\.\d\d) s; "
+                           r"us per unit (\d+\.\d{3}) -> (\d+\.\d{3})", line)
+        assert cpu
+        for side in (0, 1):
+            assert float(cpu[side + 1]) == round(report["seconds"][side], 2)
+            assert float(cpu[side + 3]) == pytest.approx(
+                report["seconds"][side] * 1e6 / report["units"][side], abs=5e-4)
         tight = tool.compare(copy, graphcode, function, sample, 40)
         assert 0 < tight["decided"][0] == tight["decided"][1] < len(sample)
         assert not tight["lost"] and not tight["gained"]

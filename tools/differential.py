@@ -10,7 +10,9 @@ own on each side.  Per set and function the script prints how many
 graphs each side decides, the graphs whose results differ, the graphs
 one side decides and the other does not, the total units, and, among the
 graphs both decide, how many cost more or fewer units, with the ten
-largest changes each way.
+largest changes each way.  It also prints each side's CPU time
+(time.process_time) over all the calls, exhausted ones included, and the
+microseconds per unit; the two sides' calls alternate graph by graph.
 
 The sets:
 - atlas: every graph on 1 to 7 vertices (perfbench/data/atlas7.g6),
@@ -62,6 +64,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,27 +116,34 @@ def graphs_of(name: str, lib) -> tuple[list[tuple[str, int, list]], int]:
     return found, 10 ** 6
 
 
-def run(side, function: str, n: int, edges: list, budget: int) -> tuple[object, int]:
-    """The function's result (None if the budget ran out) and the units it used."""
+def run(side, function: str, n: int, edges: list, budget: int) -> tuple[object, int, float]:
+    """The function's result (None if the budget ran out), the units it
+    used and the CPU seconds it took."""
     tracker = side.Budget(budget)
+    g = side.graph_from_edge_list(n, edges)
+    start = time.process_time()
     try:
-        return getattr(side, function)(side.graph_from_edge_list(n, edges), tracker), tracker.used
+        result = getattr(side, function)(g, tracker)
     except side.BudgetExceededError:
-        return None, tracker.used
+        result = None
+    return result, tracker.used, time.process_time() - start
 
 
 def compare(parent, change, function: str, graphs: list[tuple[str, int, list]],
             budget: int) -> dict:
     """Run both packages' function on every graph and collect the differences."""
     report = {"graphs": len(graphs), "budget": budget, "decided": [0, 0], "units": [0, 0],
-              "mismatches": [], "lost": [], "gained": [], "rose": [], "fell": []}
+              "seconds": [0.0, 0.0], "mismatches": [], "lost": [], "gained": [], "rose": [],
+              "fell": []}
     for name, n, edges in graphs:
-        before, spent_before = run(parent, function, n, edges, budget)
-        after, spent_after = run(change, function, n, edges, budget)
+        before, spent_before, seconds_before = run(parent, function, n, edges, budget)
+        after, spent_after, seconds_after = run(change, function, n, edges, budget)
         report["decided"][0] += before is not None
         report["decided"][1] += after is not None
         report["units"][0] += spent_before
         report["units"][1] += spent_after
+        report["seconds"][0] += seconds_before
+        report["seconds"][1] += seconds_after
         if (before is None) != (after is None):
             report["lost" if after is None else "gained"].append(name)
         elif before != after:
@@ -146,10 +156,14 @@ def compare(parent, change, function: str, graphs: list[tuple[str, int, list]],
 
 def render(name: str, report: dict) -> list[str]:
     (a, b), (units_a, units_b) = report["decided"], report["units"]
+    seconds_a, seconds_b = report["seconds"]
+    per_unit = [f"{seconds * 1e6 / units:.3f}" if units else "-"
+                for seconds, units in zip(report["seconds"], report["units"])]
     lines = [f"{name}: {report['graphs']} graphs, {report['budget']} units each; "
              f"decided {a} -> {b}; mismatches {len(report['mismatches'])}; "
              f"units {units_a} -> {units_b}; rose {len(report['rose'])}, "
-             f"fell {len(report['fell'])}"]
+             f"fell {len(report['fell'])}; cpu {seconds_a:.2f} s -> {seconds_b:.2f} s; "
+             f"us per unit {per_unit[0]} -> {per_unit[1]}"]
     for key in ("mismatches", "lost", "gained"):
         if report[key]:
             lines.append(f"  {key}: {' '.join(report[key])}")
