@@ -90,7 +90,7 @@ def lambda_of(entries: Sequence[int]) -> int:
         raise ValueError("coding sequence must be non-empty")
     if any(x < 1 for x in entries):
         raise ValueError("coding sequence entries must be >= 1")
-    return lcm(*(x for x in entries if x > 1)) if any(x > 1 for x in entries) else 1
+    return lcm(*entries)
 
 
 def render_sequence(entries: Sequence[int]) -> str:
@@ -146,16 +146,16 @@ def coding_sequence_from_covering(g: Graph, covering: Sequence[Iterable[int]],
     return tuple(sorted(_vertex_labels(g, covering, assignment)))
 
 
-def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int],
+def _interchangeable_lower_masks(patterns: list[int], cliques: list[int],
                                   twins: list[list[int]], tracker: Budget) -> list[int]:
     """For each clique, the mask of lower-indexed cliques that take smaller primes.
 
-    patterns[v] holds vertex v's IN cliques in its low k bits and its
-    undecided ones in the k bits above; cliques[c] is clique c's member
-    mask.  A permutation pi of the cliques that maps the multiset of
-    patterns to itself is a symmetry: which vertices must share a clique
-    depends on the patterns alone, so pi maps completions to completions
-    with the same labels.  Cliques a < b whose swap is one are
+    cliques[c] is clique c's member mask, and patterns[v] holds vertex v's
+    IN cliques in its low k = len(cliques) bits and its undecided ones in
+    the k bits above.  A permutation pi of the cliques that maps the
+    multiset of patterns to itself is a symmetry: which vertices must share
+    a clique depends on the patterns alone, so pi maps completions to
+    completions with the same labels.  Cliques a < b whose swap is one are
     interchangeable, and each such pair is its own constraint
     A[a] < A[b].  Swaps that are symmetries are closed under conjugation,
     (a c) being (a b)(b c)(a b), so interchangeability is already
@@ -170,6 +170,7 @@ def _interchangeable_lower_masks(patterns: list[int], k: int, cliques: list[int]
     no member are compared through signatures, each from its own members
     alone.  Each pair of cliques, and each pair of twins, charges one unit.
     """
+    k = len(cliques)
     both = 1 | 1 << k
     low = (1 << k) - 1
     # One unit per pair, as if charged one by one: a budget that runs out
@@ -250,44 +251,45 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
     A block's last two cliques take theirs in one step: the node between
     would have one child and floors no higher.
 
-    Each node owns its state: the IN and possible memberships, the cached
+    Vertices are numbered as in g.rows, and cliques in size order.  Each
+    node owns its state: the IN and possible memberships, the cached
     packings, the products and the cliques' primes.  A drop or join copies
     all but the primes; a child that assigns primes copies the last two
-    and shares the rest, as primes never change a packing.  Nodes wait on
-    one stack and are taken depth-first.  Every node is evaluated when it
-    is made: the root before it is pushed, any other node by the parent
-    that makes it.  A node pushes its children (siblings share a drop) to
-    be taken in ascending order of their floors, a split's leave child
-    first on equal floors, so good labellings come early and cut the rest;
-    a node whose floor reaches the incumbent when taken is skipped.  A
-    packing is cached until a change to its vertex's or a neighbour's
-    memberships marks it stale, and is computed where read.  A node
-    charges 1 + m + k units for its m labels and k cliques once, when it
-    is evaluated; propagation and packing charge 1 per edge scanned, and
+    and shares the rest, as primes never change a packing.  A node waits
+    on one stack as (state, assigned cliques, pending block, evaluation),
+    having used one prime per assigned clique; nodes are taken depth-first.
+    Every node is evaluated when it is made: the root before it is pushed,
+    any other node by the parent that makes it.  A node pushes its
+    children (siblings share a drop) to be taken in ascending order of
+    their floors, a split's leave child first on equal floors, so good
+    labellings come early and cut the rest; a node whose floor reaches the
+    incumbent when taken is skipped.  A packing is cached until a change
+    to its vertex's or a neighbour's memberships marks it stale, and is
+    computed where read; only a vertex with undecided memberships reads
+    one, and a vertex never regains one.  A node charges 1 + m + k units,
+    for the m vertices in its k cliques and those cliques, once, when it is
+    evaluated; propagation and packing charge 1 per edge scanned, and
     grouping the vertices into twin classes 1 per vertex.
     """
     ordered = sorted((c for c in cliques if c & (c - 1)), key=lambda c: (c.bit_count(), _bits(c)))
     vertices = _bits(reduce(or_, ordered, 0))
-    index = {v: t for t, v in enumerate(vertices)}
-    members = [[index[v] for v in _bits(c)] for c in ordered]
-    k, m = len(members), len(index)
-    leading = (1,) * (g.vertex_count - m)
+    members = [_bits(c) for c in ordered]
+    k, m, n = len(ordered), len(vertices), g.vertex_count
+    leading = (1,) * (n - m)
     incumbent = seed if seed is not None else (inf,)
     if not k:
         return min(incumbent, leading)
-    pattern = [0] * m
+    pattern = [0] * n
     for i, clique in enumerate(members):
         for v in clique:
             pattern[v] |= 1 << i
-    neighbours = [[index[w] for w in _bits(g.rows[v])] for v in vertices]
+    neighbours = [_bits(row) for row in g.rows]
 
     def touch(state: tuple, v: int) -> None:
-        """Mark the packings that v's memberships feed, and that are still read, as stale."""
-        inside, free, need, _, _ = state
+        """Mark the packings that v's memberships feed as stale."""
         tracker.charge(1 + len(neighbours[v]))
         for w in (v, *neighbours[v]):
-            if free[w] != inside[w]:
-                need[w] = None
+            state[2][w] = None
 
     def must_join(state: tuple, v: int) -> tuple:
         """(mask, cliques) of the possible holders of each edge in a packing
@@ -331,9 +333,9 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
                     if not inside[x] & holders:
                         join(state, x, holders, assigned)
 
-    inside = [0] * m if fold else pattern[:]
+    inside = [0] * n if fold else pattern[:]
     if fold:
-        for v in range(m):
+        for v in vertices:
             tracker.charge(1 + len(neighbours[v]))
             for w in neighbours[v]:
                 holders = pattern[v] & pattern[w]
@@ -347,26 +349,24 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
     # neighbourhoods, is an automorphism of g, so twins give symmetries.
     tracker.charge(m)
     classes: dict[int, list[int]] = {}
-    for t, v in enumerate(vertices):
-        classes.setdefault(g.rows[v], []).append(t)
-        classes.setdefault(g.rows[v] | 1 << v, []).append(t)
+    for v in vertices:
+        classes.setdefault(g.rows[v], []).append(v)
+        classes.setdefault(g.rows[v] | 1 << v, []).append(v)
     lower_mask = _interchangeable_lower_masks(
-        [inside[v] | (pattern[v] & ~inside[v]) << k for v in range(m)], k,
-        [sum(1 << v for v in clique) for clique in members],
+        [inside[v] | (pattern[v] & ~inside[v]) << k for v in range(n)], ordered,
         [group for group in classes.values() if len(group) > 1], tracker)
 
-    def evaluate(state: tuple, j: int, assigned: int,
-                 block: int) -> tuple[tuple[int, ...], list[int]]:
+    def evaluate(state: tuple, assigned: int, block: int) -> tuple[tuple[int, ...], list[int]]:
         """Charge one node; its sorted floors and its least-floor vertices."""
         tracker.charge(1 + m + k)
         inside, free, need, products, prime_of = state
-        width = block.bit_count()
+        j, width = assigned.bit_count(), block.bit_count()
         here, after = suffix[j], suffix[j + width]
         values = []
         least = inf
         ties: list[int] = []
         unassigned = ~assigned
-        for v in range(m):
+        for v in vertices:
             mine = inside[v]
             opened = mine & unassigned
             if free[v] != mine:
@@ -411,27 +411,24 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
                 found.append(((c, last), 0))
         return found
 
-    def label(state: tuple, cliques: tuple[int, ...], j: int) -> tuple[tuple, int]:
-        """The state with the cliques given the primes from the j-th on; their bits."""
+    def label(state: tuple, cliques: tuple[int, ...], assigned: int) -> tuple[tuple, int]:
+        """The state with the cliques given the next primes; the cliques now assigned."""
         inside, free, need, products, prime_of = state
         products, prime_of = products[:], prime_of[:]
-        bits = 0
         for c in cliques:
             bit = 1 << c
-            bits |= bit
-            prime_of[c] = p = primes[j]
-            j += 1
+            prime_of[c] = p = primes[assigned.bit_count()]
+            assigned |= bit
             for v in members[c]:
                 if inside[v] & bit:
                     products[v] *= p
-        return (inside, free, need, products, prime_of), bits
+        return (inside, free, need, products, prime_of), assigned
 
     # An unprimed clique's prime is inf, so a least prime is a plain min.
-    root = (inside, pattern[:], [None] * m, [1] * m, [inf] * k)
-    # Each entry is (state, j, assigned, block, evaluation).
-    stack = [(root, 0, 0, 0, evaluate(root, 0, 0, 0))]
+    root = (inside, pattern[:], [None] * n, [1] * n, [inf] * k)
+    stack = [(root, 0, 0, evaluate(root, 0, 0))]
     while stack:
-        state, j, assigned, block, (floor, ties) = stack.pop()
+        state, assigned, block, (floor, ties) = stack.pop()
         if floor >= incumbent:
             continue
         if not ties:
@@ -462,11 +459,10 @@ def _least_sequence(g: Graph, cliques: Sequence[int], tracker: Budget, fold: boo
                 base = (inside[:], free[:], need[:], products[:], prime_of)
                 act(base, w, bits, assigned)
             for cliques, rest in choice_steps:
-                child, labelled = label(base, cliques, j) if cliques else (base, 0)
-                at, taken = j + len(cliques), assigned | labelled
-                children.append((child, at, taken, rest, evaluate(child, at, taken, rest)))
+                child, taken = label(base, cliques, assigned) if cliques else (base, assigned)
+                children.append((child, taken, rest, evaluate(child, taken, rest)))
         # Stable: on equal floors a split still takes its leave child first.
-        children.sort(key=lambda node: node[4][0])
+        children.sort(key=lambda node: node[3][0])
         stack += reversed(children)
     return incumbent
 

@@ -43,7 +43,7 @@ def theta_lambda_consistency(g: Graph, budget: int | Budget | None = None) -> bo
     """theta_t equals the prime count of lambda(code) plus the isolated count."""
     tracker = Budget.coerce(budget)
     sigma = code(g, tracker)  # first, so theta_t reads the coverings it left
-    k = len(prime_support(lambda_of(sigma), tracker)) if lambda_of(sigma) > 1 else 0
+    k = len(prime_support(lambda_of(sigma), tracker))
     return theta_t(g, tracker) == k + len(isolated_vertices(g))
 
 
@@ -91,8 +91,7 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
     results.append(CheckResult("every clique in a minimum covering is essential", ok))
 
     sigma = code(g, tracker)
-    k = len(prime_support(lambda_of(sigma), tracker)) if lambda_of(sigma) > 1 else 0
-    ok = theta == k + len(isolated)
+    ok = theta == len(prime_support(lambda_of(sigma), tracker)) + len(isolated)
     results.append(CheckResult("theta_t = primes(lambda(code)) + isolated count", ok,
                                f"code={sigma}"))
 

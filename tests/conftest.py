@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import graphcode
 from graphcode import (Graph, all_cliques, graph_from_cliques, graph_from_edge_list,
                        isolated_vertices)
 from graphcode.primes import first_primes
@@ -47,8 +48,8 @@ def witness_graph() -> Graph:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return graph_from_edge_list(n, edges)
+    """G(n, p) from graphs.random_graph, with the rng first."""
+    return graphcode.random_graph(n, p, rng)
 
 
 def random_blow_up(rng: random.Random, max_vertices: int = 9) -> Graph:

@@ -136,6 +136,11 @@ def test_covering_text_round_trip(example_covering):
     assert covering_set([covering_from_text(text)]) == covering_set([example_covering])
 
 
+def test_covering_text_must_hold_a_clique():
+    with pytest.raises(ValueError, match="^no cliques in covering text$"):
+        covering_from_text("\n  \n")
+
+
 def test_prop1_certificate_example(example_graph, example_covering):
     # 0, 4 from the first component; 6, 8, 10 pairwise non-adjacent in the second
     assert prop1_certificate(example_graph, [0, 4, 6, 8, 10], example_covering)

@@ -129,6 +129,18 @@ def test_sigma_of_covering_counts_a_repeated_vertex_once():
     assert sigma_of_covering(path_graph(3), [(0, 1), (1, 2, 1)]) == (2, 3, 6)
 
 
+def test_sigma_of_covering_rejects_a_non_covering():
+    with pytest.raises(ValueError, match="^not a total clique covering of the graph$"):
+        sigma_of_covering(path_graph(3), [(0, 1)])
+
+
+def test_graphs_of_different_orders_are_told_apart_before_any_code():
+    tracker = Budget(1)
+    assert not is_isomorphic_by_code(path_graph(3), path_graph(4), tracker)
+    assert not is_isomorphic_by_code(empty_graph(3), empty_graph(2), tracker)
+    assert tracker.used == 0
+
+
 def test_sigma_is_min_over_assignments(example_graph, example_covering):
     assert brute_force_sigma_of_covering(example_graph, example_covering) == EXAMPLE_CODE
 
@@ -288,11 +300,11 @@ def test_symmetries_compare_only_the_patterns_they_move(monkeypatch):
     masks_of = graphcode.coding._interchangeable_lower_masks
     found = []
 
-    def checked(patterns, k, cliques, twins, tracker):
+    def checked(patterns, cliques, twins, tracker):
         used = tracker.used
-        masks = masks_of(patterns, k, cliques, twins, tracker)
+        masks = masks_of(patterns, cliques, twins, tracker)
         reference = Budget()
-        assert masks == full_multiset_masks(patterns, k, cliques, twins, reference)
+        assert masks == full_multiset_masks(patterns, len(cliques), cliques, twins, reference)
         assert tracker.used - used == reference.used
         found.append(any(masks))
         return masks

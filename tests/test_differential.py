@@ -118,10 +118,10 @@ def test_cli_round_compares_calls_byte_for_byte(copy, tmp_path, monkeypatch):
 
 def test_conversions_round_compares_results_messages_and_units(copy, monkeypatch):
     calls = tool.conversion_calls(graphcode)
-    assert len(calls) == 1500 * 5 + (len(tool.MALFORMED) + 1500 * 6) * 3
-    # Every covering's five calls come first, then three per sequence,
+    assert len(calls) == 1500 * 6 + (len(tool.MALFORMED) + 1500 * 6) * 3
+    # Every covering's six calls come first, then three per sequence,
     # the malformed cases leading.
-    sample = calls[:25] + calls[7500:7560] + calls[-25:] + calls[::700]
+    sample = calls[:30] + calls[9000:9060] + calls[-25:] + calls[::700]
     report = tool.compare_conversions(copy, graphcode, sample)
     assert report == {"calls": len(sample), "differ": []}
     assert tool.render_conversions(report) == [f"conversions: {len(sample)} calls; differing 0"]
@@ -129,6 +129,7 @@ def test_conversions_round_compares_results_messages_and_units(copy, monkeypatch
     assert {type(result) for result, _ in outcomes} >= {tuple, list, bool}
     assert ("ValueError", "coding sequence must be non-empty") in [r for r, _ in outcomes]
     assert any(units for _, units in outcomes)
+    assert any(units for c, (_, units) in zip(sample, outcomes) if c[0] == "sigma_of_covering")
     # A copy whose shape check words one error differently, and whose
     # polynomials drop the constant term, differs on exactly those calls.
     shape = copy.coding._sequence_memberships

@@ -48,6 +48,22 @@ def test_parse_dimacs_rejects_bad_input():
         parse_dimacs("p edge 2 2\ne 1 2\n")  # count mismatch
 
 
+def test_parsers_name_the_text_they_reject():
+    cases = [(parse_edge_list, "2 x\n", "edge-list header must be 'n m', got '2 x'"),
+             (parse_edge_list, "2 1\n0 y\n", "bad edge line '0 y'"),
+             (parse_dimacs, "p edge two 1\n", "bad DIMACS header 'p edge two 1'"),
+             (parse_dimacs, "p graph 2 1\n", "bad DIMACS header 'p graph 2 1'"),
+             (parse_dimacs, "p edge 2 1\ne 1 z\n", "bad DIMACS edge line 'e 1 z'"),
+             (parse_dimacs, "p edge 2 1\na 1 2\n", "bad DIMACS edge line 'a 1 2'"),
+             (parse_graph6, "~", "graph6 inputs beyond 62 vertices are not supported"),
+             (parse_graph6, "Bww", "graph6 body length 2 does not match n = 3"),
+             (parse_graph6_file, " \n\n", "no graphs in graph6 input")]
+    for parse, text, message in cases:
+        with pytest.raises(ValueError) as caught:
+            parse(text)
+        assert str(caught.value) == message
+
+
 def test_graph6_known_values():
     assert render_graph6(complete_graph(3)) == "Bw"
     assert render_graph6(complete_graph(4)) == "C~"

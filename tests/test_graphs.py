@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import graphcode
 from graphcode import (Budget, Graph, all_cliques, apply_permutation, complete_graph,
                        connected_components, cycle_graph, divisor_graph, empty_graph,
                        generate_family, graph_from_cliques, graph_from_edge_list,
@@ -189,6 +190,18 @@ def test_families():
         generate_family("cycle", 2)
     with pytest.raises(ValueError):
         generate_family("star", 4)
+
+
+def test_random_graph_is_seeded_and_spans_its_probabilities():
+    def draw(n, p, seed=5):
+        return graphcode.random_graph(n, p, random.Random(seed))
+
+    assert draw(12, 0.4) == draw(12, 0.4) != draw(12, 0.4, seed=6)
+    assert draw(12, 0.4).vertex_count == 12
+    assert draw(9, 0.0) == empty_graph(9)
+    assert draw(9, 1.0) == complete_graph(9)
+    with pytest.raises(ValueError, match="n >= 1"):
+        draw(0, 0.5)
 
 
 def test_apply_permutation_examples():

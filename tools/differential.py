@@ -39,8 +39,9 @@ random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 1.0)) for i < 750
 and random_blow_up(rng, 9) from there, then random_total_covering and
 random_assignment.  On each covering it calls
 coding_sequence_from_covering (also on the covering less its last clique
-and with one prime too many), poly_from_covering and
-covering_round_trip_check.  check_sequence_shape, covering_from_sequence
+and with one prime too many), poly_from_covering,
+covering_round_trip_check and sigma_of_covering, the label search on a
+fixed covering.  check_sequence_shape, covering_from_sequence
 and poly_from_sequence then run on the coding sequence, on five malformed
 variants of it (reversed, with a 0, with a square factor, with an
 isolated prime, without its first entry) and on the malformed cases and
@@ -76,7 +77,7 @@ CLI_BUDGET = 10 ** 6
 GEN_SIZES = (1, 2, 3, 5, 8, 13)
 CONVERSION_BUDGET = 10 ** 5
 FROM_SEQUENCE = ("check_sequence_shape", "covering_from_sequence", "poly_from_sequence")
-BUDGETED = ("covering_round_trip_check",) + FROM_SEQUENCE
+BUDGETED = ("covering_round_trip_check", "sigma_of_covering") + FROM_SEQUENCE
 HARD = 2 * (10 ** 9 + 7) * (10 ** 9 + 9)
 MALFORMED = ((), (0,), (3, 2), (2, 4), (2, 3), (1, 2), (2, 2, 5), (HARD, HARD))
 
@@ -236,7 +237,8 @@ def conversion_calls(lib) -> list[tuple[str, tuple | None, tuple]]:
                   ("coding_sequence_from_covering", graph, (covering[:-1], assignment)),
                   ("coding_sequence_from_covering", graph, (covering, assignment + primes[-1:])),
                   ("poly_from_covering", graph, (covering,)),
-                  ("covering_round_trip_check", graph, (covering, assignment))]
+                  ("covering_round_trip_check", graph, (covering, assignment)),
+                  ("sigma_of_covering", graph, (covering,))]
         entries = lib.coding_sequence_from_covering(g, covering, assignment)
         sequences += [entries, entries[::-1], (0,) + entries,
                       entries[:-1] + (4 * entries[-1],),
