@@ -18,7 +18,7 @@ from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
 from .cliques import covering_to_text, minimum_total_coverings
 from .coding import code, parse_sequence, render_sequence
 from .graph_io import edge_list_lines, load_graph
-from .graphs import Graph, divisor_graph, generate_family, realize_sequence
+from .graphs import FAMILIES, Graph, divisor_graph, generate_family, realize_sequence
 from .oracle import brute_force_isomorphic
 from .polynomials import (canonical_polynomial, closed_form_family,
                           divisor_graph_polynomial_closed_form)
@@ -224,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True, metavar="a1,a2,...",
                    help='entries, e.g. "2,3,10,15"')
     p = command("gen", _cmd_gen, "generate a named graph family member")
-    p.add_argument("--family", required=True,
-                   choices=["complete", "path", "cycle", "empty"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--closed-form", action="store_true",
                    help="also print the known code and polynomial")

@@ -1,16 +1,18 @@
 """Reading and writing graphs: edge-list text, DIMACS, graph6.
 
 Edge-list text: first non-comment line is "n m", then one "u v" pair per
-line with 0-based vertex ids; "#" starts a comment.  DIMACS: "p edge n m"
-header and "e u v" lines with 1-based ids.  graph6 is the usual ASCII
-packing of the upper triangle, limited here to at most 62 vertices.
-Edge-list and DIMACS inputs may declare at most MAX_VERTICES vertices; the
-header is checked before anything is built from it.
+line with 0-based vertex ids.  DIMACS: "p edge n m" header and "e u v"
+lines with 1-based ids.  A comment is a whole line starting with "#"
+(edge-list) or "c" (DIMACS); an inline "#" after an edge is rejected.
+graph6 is the usual ASCII packing of the upper triangle, at most 62
+vertices here.  Edge-list and DIMACS inputs may declare at most
+MAX_VERTICES vertices; the header is checked before anything is built.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import compress
 from typing import Iterator
 
 from .graphs import Graph, _bits, graph_from_edge_list
@@ -37,6 +39,15 @@ def _strip_comments(text: str, markers: tuple[str, ...]) -> list[str]:
     return lines
 
 
+def _two_ints(tokens: list[str], line: str, fault: str) -> tuple[int, int]:
+    """The two integers that tokens, read from line, spell; else ValueError."""
+    try:
+        first, second = tokens
+        return int(first), int(second)
+    except ValueError:
+        raise ValueError(f"{fault} {line!r}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "n m" header plus m lines of "u v" 0-based pairs.
 
@@ -45,28 +56,13 @@ def parse_edge_list(text: str) -> Graph:
     lines = _strip_comments(text, ("#",))
     if not lines:
         raise ValueError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}") from None
+    n, m = _two_ints(lines[0].split(), lines[0], "edge-list header must be 'n m', got")
     _check_vertex_count(n)
     body = lines[1:]
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad edge line {line!r}") from None
-        edges.append((u, v))
-    return graph_from_edge_list(n, edges)
+    return graph_from_edge_list(n, [_two_ints(line.split(), line, "bad edge line")
+                                    for line in body])
 
 
 def edge_list_lines(g: Graph) -> Iterator[str]:
@@ -91,26 +87,23 @@ def parse_dimacs(text: str) -> Graph:
     if not lines or not lines[0].startswith("p"):
         raise ValueError("DIMACS input must start with a 'p edge n m' line")
     header = lines[0].split()
-    if len(header) != 4 or header[0] != "p" or header[1] not in ("edge", "col"):
-        raise ValueError(f"bad DIMACS header {lines[0]!r}")
-    try:
-        n, m = int(header[2]), int(header[3])
-    except ValueError:
-        raise ValueError(f"bad DIMACS header {lines[0]!r}") from None
+    # a header or edge line with the wrong keyword has no integers to read
+    n, m = _two_ints(header[2:] if header[:2] in (["p", "edge"], ["p", "col"]) else [],
+                     lines[0], "bad DIMACS header")
     _check_vertex_count(n)
     edges = []
     for line in lines[1:]:
         parts = line.split()
-        if parts[0] != "e" or len(parts) != 3:
-            raise ValueError(f"bad DIMACS edge line {line!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ValueError(f"bad DIMACS edge line {line!r}") from None
+        u, v = _two_ints(parts[1:] if parts[0] == "e" else [], line, "bad DIMACS edge line")
         edges.append((u - 1, v - 1))
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return graph_from_edge_list(n, edges)
+
+
+def _graph6_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The vertex pairs (i, j) in graph6 bit order: by column j, then row i < j."""
+    return ((i, j) for j in range(1, n) for i in range(j))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -129,17 +122,8 @@ def parse_graph6(text: str) -> Graph:
     needed = (n * (n - 1) // 2 + 5) // 6
     if len(data) - 1 != needed:
         raise ValueError(f"graph6 body length {len(data) - 1} does not match n = {n}")
-    bits = []
-    for b in data[1:]:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return graph_from_edge_list(n, edges)
+    bits = [b >> shift & 1 for b in data[1:] for shift in range(5, -1, -1)]
+    return graph_from_edge_list(n, compress(_graph6_pairs(n), bits))
 
 
 def render_graph6(g: Graph) -> str:
@@ -147,12 +131,8 @@ def render_graph6(g: Graph) -> str:
     n = g.vertex_count
     if n > GRAPH6_MAX_VERTICES:
         raise ValueError(f"graph6 output limited to {GRAPH6_MAX_VERTICES} vertices, got {n}")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = [g.rows[j] >> i & 1 for i, j in _graph6_pairs(n)]
+    bits += [0] * (-len(bits) % 6)
     chars = [chr(63 + n)]
     for k in range(0, len(bits), 6):
         value = 0

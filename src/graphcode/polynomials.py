@@ -101,14 +101,11 @@ class GraphPolynomial:
             if term.isdigit():
                 items.append(((), int(term)))
                 continue
-            if not _TERM_RE.match(term):
+            match = _TERM_RE.match(term)
+            if not match:
                 raise ValueError(f"malformed term {term!r}")
-            pieces = term.split("*")
-            coefficient = 1
-            if pieces[0].isdigit():
-                coefficient = int(pieces[0])
-                pieces = pieces[1:]
-            monomial = tuple(int(p[1:]) for p in pieces)
+            coefficient = int(match[1] or 1)
+            monomial = tuple(map(int, re.findall(r"x(\d+)", term)))
             if list(monomial) != sorted(set(monomial)):
                 raise ValueError(f"variables must be distinct and ascending in {term!r}")
             items.append((monomial, coefficient))

@@ -165,6 +165,14 @@ def test_prop1_certificate_holds_for_short_path():
     assert prop1_certificate(g, [0, 2], cov)
 
 
+def test_prop1_certificate_rejects_outside_vertices_and_partial_coverings():
+    g = path_graph(3)
+    assert not prop1_certificate(g, [0, 3], [{0, 1}, {1, 2}])
+    assert not prop1_certificate(g, [-1, 2], [{0, 1}, {1, 2}])
+    # Independent, of the same size, but the edge {1, 2} is left uncovered.
+    assert not prop1_certificate(g, [0, 2], [{0, 1}, {2}])
+
+
 def test_budget_exhaustion_raises():
     g = cycle_graph(6)
     with pytest.raises(BudgetExceededError):

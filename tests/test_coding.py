@@ -72,6 +72,13 @@ def test_lambda_of_values():
     assert lambda_of(EXAMPLE_CODE) == 2310
 
 
+def test_lambda_of_rejects_empty_and_non_positive_sequences():
+    with pytest.raises(ValueError, match="^coding sequence must be non-empty$"):
+        lambda_of(())
+    with pytest.raises(ValueError, match="^coding sequence entries must be >= 1$"):
+        lambda_of((0, 2))
+
+
 def test_render_and_parse():
     assert render_sequence((2, 3, 10, 15)) == "(2,3,10,15)"
     assert parse_sequence("(2,3,10,15)") == (2, 3, 10, 15)
@@ -467,6 +474,12 @@ def test_validate_coding_sequence(example_graph):
     assert not validate_coding_sequence((3, 2), example_graph)
     assert validate_coding_sequence((2, 3, 10, 15), path_graph(4))
     assert not validate_coding_sequence((2, 3, 10, 15), cycle_graph(4))
+
+
+def test_validate_coding_sequence_rejects_a_well_formed_sequence_of_another_length():
+    # (2, 2) is the shape of K_2, so only the vertex count tells it from P_3.
+    check_sequence_shape((2, 2))
+    assert not validate_coding_sequence((2, 2), path_graph(3))
 
 
 @settings(max_examples=80, deadline=None)

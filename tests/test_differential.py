@@ -152,3 +152,47 @@ def test_conversions_round_compares_results_messages_and_units(copy, monkeypatch
                 and () in dict(tool.convert(graphcode, *c)[0])]
     assert zero and report["differ"] == [c for c in sample if c in zero or c in constant]
     assert tool.render_conversions(report)[1].startswith("  differ: ")
+
+
+def test_parse_round_compares_graphs_renders_and_messages(copy, monkeypatch):
+    sys.path.insert(0, str(ROOT))
+    try:
+        calls = tool.parse_calls()
+    finally:
+        sys.path.remove(str(ROOT))
+    # 1,252 atlas lines and 423 cli files, then seven variants of each, and
+    # per text the four parsers followed by detect_format under eight names.
+    assert len(calls) == (1252 + 423) * 8 * 12
+    assert [function for function, _ in calls[:12]] == [*tool.PARSERS] + ["detect_format"] * 8
+    assert [args[0] for _, args in calls[4:12]] == ["graph" + ext for ext in tool.EXTENSIONS]
+    assert {args[-1] for _, args in calls[:12]} == {"@"}
+    sample = calls[::37]
+    report = tool.compare_parses(copy, graphcode, sample)
+    assert report == {"calls": len(sample), "differ": []}
+    assert tool.render_parses(report) == [f"parse: {len(sample)} calls; differing 0"]
+    outcomes = [tool.parse(graphcode, *c) for c in sample]
+    graphs = [c for c, result in zip(sample, outcomes)
+              if isinstance(result, list) or isinstance(result, tuple) and len(result) == 4]
+    assert {function for function, _ in graphs} == set(tool.PARSERS)
+    assert {"graph6", "dimacs", "edge-list"} <= {r for r in outcomes if isinstance(r, str)}
+    messages = {result[1].split(" '")[0] for result in outcomes if isinstance(result, tuple)
+                and len(result) == 2}
+    assert {"empty edge-list input", "bad edge line", "bad DIMACS header",
+            "bad DIMACS edge line", "cannot detect graph format of"} <= messages
+    # A copy whose DIMACS reader words its errors differently, and whose
+    # graph6 writer returns another line, differs on exactly those calls.
+    dimacs = copy.parse_dimacs
+
+    def reworded(text):
+        try:
+            return dimacs(text)
+        except ValueError as exc:
+            raise ValueError(str(exc).upper()) from None
+
+    monkeypatch.setattr(copy, "parse_dimacs", reworded)
+    monkeypatch.setattr(copy, "render_graph6", lambda g: "?")
+    report = tool.compare_parses(graphcode, copy, sample)
+    rejected = [c for c, result in zip(sample, outcomes)
+                if c[0] == "parse_dimacs" and c not in graphs]
+    assert rejected and report["differ"] == [c for c in sample if c in graphs or c in rejected]
+    assert tool.render_parses(report)[1].startswith("  differ: ")

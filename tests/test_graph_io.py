@@ -136,6 +136,22 @@ def test_detect_format_by_content(tmp_path):
     assert detect_format(q, q.read_text()) == "edge-list"
 
 
+def test_detect_format_sniffs_headers_blank_lines_and_comments():
+    assert detect_format("mystery", "  >>graph6<<Bw\n") == "graph6"
+    assert detect_format("mystery", "\n  \n3 1\n0 1\n") == "edge-list"
+    assert detect_format("mystery", "\n\nc hello\np edge 2 1\n") == "dimacs"
+    assert detect_format("mystery", "# a path\n3 2\n0 1\n1 2\n") == "edge-list"
+    with pytest.raises(ValueError) as caught:
+        detect_format("mystery", "\n   \n\n")
+    assert str(caught.value) == "cannot detect graph format of 'mystery'"
+
+
+def test_edge_list_header_needs_two_tokens():
+    with pytest.raises(ValueError) as caught:
+        parse_edge_list("3\n")
+    assert str(caught.value) == "edge-list header must be 'n m', got '3'"
+
+
 @pytest.mark.parametrize("n", [35, 36, 49, 50])
 def test_graph6_loads_without_its_extension(tmp_path, n):
     """graph6 lines for 36 and 49 vertices start with "c" and "p"."""

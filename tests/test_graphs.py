@@ -79,6 +79,16 @@ def test_graph_stores_rows_only():
         g.rows = ()
 
 
+def test_graph_survives_pickle_deepcopy_and_its_repr():
+    import copy
+    import pickle
+
+    g = graph_from_edge_list(5, [(3, 1), (0, 4), (1, 2)])
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), eval(repr(g), {"Graph": Graph})):
+        assert type(h) is Graph and h == g and h.rows == g.rows
+    assert repr(g) == "Graph(5, [(0, 4), (1, 2), (1, 3)])"
+
+
 def test_divisor_graph_of_12():
     labeled = divisor_graph(12)
     assert labeled.labels == (2, 3, 4, 6, 12)

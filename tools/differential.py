@@ -50,6 +50,21 @@ exception type and message, and the units it used are compared; the
 script prints the number of calls and of calls that differ, with the
 first ten of those.
 
+A parse round calls the readers of graph_io on both sides.  Its texts are
+every line of perfbench/data/atlas7.g6, every seed-41 cli workload file,
+and, drawn with Random(PARSE_SEED), seven malformed variants of each of
+those: a line with one token too many, one with one token too few, a
+token that is not an integer, a line whose leading token is replaced by
+"p", "e", "a", "p edge", "p col" or "p graph", a line with an inline
+"# note", an inserted blank or comment line, and a ">>graph6<<" header in
+front.  On each text it calls parse_edge_list, parse_dimacs, parse_graph6,
+parse_graph6_file and detect_format, the latter under the name "graph"
+and under "graph" with each extension detect_format knows.  A parsed
+graph stands as its vertex count and rows, with the outcomes of
+render_graph6 and render_edge_list on it; a failed call as its exception
+type and message.  The script prints the number of calls and of calls
+whose outcomes differ, with the first ten of those.
+
 The script exits 1 if any result or call differs or the checkout loses a
 graph.
 """
@@ -80,6 +95,10 @@ FROM_SEQUENCE = ("check_sequence_shape", "covering_from_sequence", "poly_from_se
 BUDGETED = ("covering_round_trip_check", "sigma_of_covering") + FROM_SEQUENCE
 HARD = 2 * (10 ** 9 + 7) * (10 ** 9 + 9)
 MALFORMED = ((), (0,), (3, 2), (2, 4), (2, 3), (1, 2), (2, 2, 5), (HARD, HARD))
+PARSERS = ("parse_edge_list", "parse_dimacs", "parse_graph6", "parse_graph6_file")
+EXTENSIONS = ("", ".g6", ".graph6", ".dimacs", ".col", ".edges", ".edgelist", ".txt")
+PARSE_SEED = 5
+FILLERS = ("", "   ", "#", "# note", "c", "c note")
 
 
 def load(src: Path, name: str):
@@ -274,6 +293,72 @@ def render_conversions(report: dict) -> list[str]:
                     for function, graph, args in report["differ"][:SHOW]]
 
 
+def malformed(rng, text: str) -> list[str]:
+    """The parse round's seven variants of text, each changing one line."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    j = rng.randrange(len(tokens))
+
+    def swap(*parts: str) -> str:
+        return "\n".join(lines[:i] + [" ".join(parts)] + lines[i + 1:]) + "\n"
+
+    return [swap(*tokens, str(rng.randrange(9))), swap(*tokens[:-1]),
+            swap(*tokens[:j], rng.choice(("x", "1.5", "0x1")), *tokens[j + 1:]),
+            swap(rng.choice(("p", "e", "a", "p edge", "p col", "p graph")), *tokens[1:]),
+            swap(*tokens, "# note"),
+            "\n".join(lines[:i] + [rng.choice(FILLERS)] + lines[i:]) + "\n",
+            ">>graph6<<" + text]
+
+
+def parse_calls() -> list[tuple[str, tuple]]:
+    """(function, arguments) of each call in the parse round, text by text;
+    needs the repo root on sys.path."""
+    from random import Random
+
+    from perfbench.workloads import cli_inputs
+    texts = (ROOT / "perfbench" / "data" / "atlas7.g6").read_text("ascii").splitlines()
+    # the file texts do not depend on the directory they are meant for
+    texts += cli_inputs(CLI_SEED, ROOT)[0].values()
+    rng = Random(PARSE_SEED)
+    texts += [variant for text in texts for variant in malformed(rng, text)]
+    return [call for text in texts
+            for call in [(function, (text,)) for function in PARSERS]
+            + [("detect_format", ("graph" + ext, text)) for ext in EXTENSIONS]]
+
+
+def outcome(function, *args) -> object:
+    """function's result on args, or its exception type and message."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def parse(side, function: str, args: tuple) -> object:
+    """The outcome of one parse-round call on side, each graph in it standing
+    as (vertex count, rows, graph6 outcome, edge-list outcome)."""
+    def shown(g):
+        return (g.vertex_count, g.rows, outcome(side.render_graph6, g),
+                outcome(side.render_edge_list, g))
+
+    result = outcome(getattr(side, function), *args)
+    if isinstance(result, list):
+        return [shown(g) for g in result]
+    return shown(result) if isinstance(result, side.Graph) else result
+
+
+def compare_parses(parent, change, calls: list) -> dict:
+    """Run every parse call on both sides and collect those that differ."""
+    return {"calls": len(calls),
+            "differ": [c for c in calls if parse(parent, *c) != parse(change, *c)]}
+
+
+def render_parses(report: dict) -> list[str]:
+    lines = [f"parse: {report['calls']} calls; differing {len(report['differ'])}"]
+    return lines + [f"  differ: {function} {args!r}" for function, args in report["differ"][:SHOW]]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV",
@@ -299,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         failed |= bool(report["differ"])
         report = compare_conversions(parent, graphcode, conversion_calls(graphcode))
         print("\n".join(render_conversions(report)), flush=True)
+        failed |= bool(report["differ"])
+        report = compare_parses(parent, graphcode, parse_calls())
+        print("\n".join(render_parses(report)), flush=True)
         failed |= bool(report["differ"])
     return 1 if failed else 0
 
