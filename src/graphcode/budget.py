@@ -24,9 +24,9 @@ class Budget:
     """Mutable work counter shared across the phases of one operation.
 
     It also remembers the operation's completed factorizations (see
-    primes.factorize) and each graph's complete listing of least maximal
-    coverings, which code, theta_t, minimum_total_coverings and verify then
-    read; no outcome depends on what ran under another budget."""
+    primes.factorize) and the least maximal coverings of each graph whose
+    covering search ran to its end; code, theta_t, minimum_total_coverings
+    and verify read them.  No outcome depends on another budget's work."""
 
     __slots__ = ("limit", "used", "factorizations", "coverings")
 

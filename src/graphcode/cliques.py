@@ -11,15 +11,17 @@ reduction and exact algorithms for clique cover", ACM JEA 13, 2009).
 
 Every minimum total covering is a shrink of a minimum maximal-clique
 covering: S_i subset of M_i with |S_i| >= 2, still covering every edge.
-minimum_total_coverings lists the shrinks; the code's label search in
-coding picks them itself and never lists them.  Inside the searches every
-vertex set is an int bitmask over Graph.rows; frozensets are built only
-where a public function takes or returns them.
+The covering search yields each least maximal covering as it finds it:
+theta_t stops at the first, minimum_total_coverings lists the shrinks of
+each, and the code's label search in coding picks them itself as each
+covering arrives.  Inside the searches every vertex set is an int bitmask
+over Graph.rows; frozensets are built only where a public function takes
+or returns them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget
 from .graphs import Graph, _bits
@@ -85,10 +87,9 @@ def canonical_covering(cliques: Iterable[Iterable[int]]) -> Covering:
                         key=lambda c: (len(c), sorted(c))))
 
 
-def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
-                       ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The isolated vertices' singletons, and the least edge coverings by
-    maximal cliques of size >= 2, every clique a vertex mask.
+def _maximal_coverings(g: Graph, tracker: Budget) -> Iterator[tuple[int, ...]]:
+    """Yield each least edge covering by maximal cliques of size >= 2, as
+    a tuple of clique masks, as the search finds it.
 
     Each maximal clique becomes a mask once; holding[v] masks the candidate
     cliques that hold v, so those of edge (u, v) are holding[u] & holding[v].
@@ -102,21 +103,22 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     edges than the remaining depth pairwise share no allowed candidate
     (each of them needs a clique of its own).
     Indexing charges one unit per (clique, edge) pair, and every node 1
-    plus the uncovered edges it scans.  Returns every least covering when
-    find_all is set, and remembers them in the budget, whose listing every
-    later call on g reads; otherwise it returns at least one witness.  An
-    edgeless graph has the single empty covering, remembered likewise.
+    plus the uncovered edges it scans.  A search that runs to its end
+    remembers the listing in the budget, and every later call on g yields
+    from it; a consumer that stops early leaves none.  An edgeless graph
+    has the single empty covering, remembered likewise.
     """
     if g in tracker.coverings:
-        return tracker.coverings[g]
+        yield from tracker.coverings[g]
+        return
     if g.vertex_count == 0:
         raise ValueError("coverings need at least one vertex")
     masks = [sum(1 << v for v in c) for c in maximal_cliques(g, tracker)]
-    singletons = tuple(c for c in masks if not c & (c - 1))
     cliques = sorted((c for c in masks if c & (c - 1)), key=lambda c: (-c.bit_count(), _bits(c)))
     if not cliques:
-        tracker.coverings[g] = singletons, [()]
-        return tracker.coverings[g]
+        tracker.coverings[g] = [()]
+        yield ()
+        return
     tracker.charge(sum(size * (size - 1) // 2 for size in map(int.bit_count, cliques)))
     holding = [0] * g.vertex_count
     for j, mask in enumerate(cliques):
@@ -179,10 +181,11 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
     depth = scan(uncovered, 0)[0] if uncovered else 0
     while not found:
         stack = [(uncovered, 0, forced, depth)]
-        while stack and (find_all or not found):
+        while stack:
             left, forbidden, chosen, remaining = stack.pop()
             if not left:
-                found.append(chosen)
+                found.append(tuple(cliques[j] for j in chosen))
+                yield found[-1]
                 continue
             if not remaining:
                 continue
@@ -196,14 +199,11 @@ def _maximal_coverings(g: Graph, tracker: Budget, find_all: bool,
                 stack.append((left & ~covers[j], forbidden | options, chosen + (j,),
                               remaining - 1))
         depth += 1
-    result = singletons, [tuple(cliques[j] for j in chosen) for chosen in found]
-    if find_all:
-        tracker.coverings[g] = result
-    return result
+    tracker.coverings[g] = found
 
 
-def _shrinks(covering: tuple[int, ...], tracker: Budget, found: set[tuple[int, ...]]) -> None:
-    """Add every S_1..S_k with S_i subset of M_i that covers the same edges.
+def _shrinks(covering: tuple[int, ...], tracker: Budget) -> Iterator[tuple[int, ...]]:
+    """Yield every S_1..S_k with S_i subset of M_i that covers the same edges.
 
     covering is a least edge covering M_1..M_k by maximal cliques, as masks,
     so no S_i can fall below two vertices.  Vertices are dropped one
@@ -211,8 +211,8 @@ def _shrinks(covering: tuple[int, ...], tracker: Budget, found: set[tuple[int, .
     leave S_i when the other current cliques that hold v hold all of S_i.
     Cliques only shrink, so an item that fails this on the M_i never
     passes.  The walk takes the items by vertex, then clique, depth-first
-    on a stack, and drops each before it keeps it.  Each shrink goes into
-    found as the sorted tuple of its cliques' masks.  Each drop test
+    on a stack, and drops each before it keeps it.  Each shrink is yielded
+    as the sorted tuple of its cliques' masks.  Each drop test
     charges |S_i|, and each shrink kept 1 per clique.
     """
     masks = list(covering)
@@ -239,7 +239,7 @@ def _shrinks(covering: tuple[int, ...], tracker: Budget, found: set[tuple[int, .
             t += 1
         if t == len(items):
             tracker.charge(len(masks))
-            found.add(tuple(sorted(masks)))
+            yield tuple(sorted(masks))
             continue
         i, v = items[t]
         masks[i] ^= 1 << v
@@ -248,9 +248,8 @@ def _shrinks(covering: tuple[int, ...], tracker: Budget, found: set[tuple[int, .
 
 def theta_t(g: Graph, budget: int | Budget | None = None) -> int:
     """Minimum size of a total clique covering."""
-    tracker = Budget.coerce(budget)
-    singletons, found = _maximal_coverings(g, tracker, find_all=False)
-    return len(singletons) + len(found[0])
+    isolated = sum(not row for row in g.rows)
+    return isolated + len(next(_maximal_coverings(g, Budget.coerce(budget))))
 
 
 def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> list[Covering]:
@@ -261,10 +260,9 @@ def minimum_total_coverings(g: Graph, budget: int | Budget | None = None) -> lis
     included, is built once and ranked in canonical order, so sorting a
     covering's ranks orders its cliques and the coverings too."""
     tracker = Budget.coerce(budget)
-    singletons, coverings = _maximal_coverings(g, tracker, find_all=True)
-    found: set[tuple[int, ...]] = set()
-    for covering in coverings:
-        _shrinks(covering, tracker, found)
+    found = {shrink for covering in _maximal_coverings(g, tracker)
+             for shrink in _shrinks(covering, tracker)}
+    singletons = tuple(1 << v for v, row in enumerate(g.rows) if not row)
     distinct = sorted({mask for shrink in found for mask in shrink}.union(singletons),
                       key=lambda mask: (mask.bit_count(), _bits(mask)))
     rank = {mask: r for r, mask in enumerate(distinct)}

@@ -483,12 +483,12 @@ def code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:
     """The canonical code: least sigma over all minimum total clique coverings.
 
     Every minimum covering shrinks from a least covering by maximal
-    cliques, so one label search per such covering, choosing the shrink as
-    it goes, covers them all.
+    cliques, so one label search per such covering, run as the covering
+    search yields it and choosing the shrink as it goes, covers them all.
     """
     tracker = Budget.coerce(budget)
     best = None
-    for covering in _maximal_coverings(g, tracker, find_all=True)[1]:
+    for covering in _maximal_coverings(g, tracker):
         best = _least_sequence(g, covering, tracker, fold=True, seed=best)
     return best
 

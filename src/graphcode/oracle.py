@@ -132,15 +132,8 @@ def brute_force_sigma_of_covering(g: Graph, covering: frozenset[frozenset[int]],
     non_singletons = sorted((c for c in covering if len(c) > 1),
                             key=lambda c: sorted(c))
     holders = [[i for i, c in enumerate(non_singletons) if v in c] for v in g.vertices()]
-    best = None
-    for assigned in permutations(first_primes(len(non_singletons))):
-        candidate = tuple(sorted(prod(assigned[i] for i in held) for held in holders))
-        if best is None or candidate < best:
-            best = candidate
-    if best is None:
-        # k == 0: permutations(()) still yields one empty assignment.
-        raise AssertionError("unreachable")
-    return best
+    return min(tuple(sorted(prod(assigned[i] for i in held) for held in holders))
+               for assigned in permutations(first_primes(len(non_singletons))))
 
 
 def brute_force_code(g: Graph, budget: int | Budget | None = None) -> tuple[int, ...]:

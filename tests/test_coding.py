@@ -449,6 +449,11 @@ def test_theorem1_labels_example(example_graph):
     assert n == 69300
 
 
+def test_theorem1_labels_rejects_the_graph_without_vertices():
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
+        theorem1_labels(graph_from_edge_list(0, []))
+
+
 def test_theorem1_labels_properties():
     rng = random.Random(37)
     for _ in range(60):
@@ -605,3 +610,23 @@ def test_theta_t_stops_at_its_first_witness():
     alone = Budget()
     assert code(g, alone) == sigma
     assert alone.used == 230_613
+
+
+def test_code_labels_each_covering_as_the_search_yields_it(monkeypatch):
+    # The same graph: each of its 88 least coverings is labelled as the
+    # covering search yields it, so the listing is remembered only once the
+    # search has run to its end, after the last label search.
+    g = parse_graph6("Mvvnz~~~Z~~v^~z|_")
+    tracker = Budget()
+    listed = []
+    least_sequence = graphcode.coding._least_sequence
+
+    def recorded(h, covering, budget, **kwargs):
+        listed.append(h in budget.coverings)
+        return least_sequence(h, covering, budget, **kwargs)
+
+    monkeypatch.setattr(graphcode.coding, "_least_sequence", recorded)
+    code(g, tracker)
+    assert listed == [False] * 88
+    assert len(tracker.coverings[g]) == 88
+    assert tracker.used == 230_613

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import graphcode
-from graphcode import (Budget, Graph, all_cliques, apply_permutation, complete_graph,
-                       connected_components, cycle_graph, divisor_graph, empty_graph,
-                       generate_family, graph_from_cliques, graph_from_edge_list,
+from graphcode import (Budget, Graph, LabeledGraph, all_cliques, apply_permutation,
+                       complete_graph, connected_components, cycle_graph, divisor_graph,
+                       empty_graph, generate_family, graph_from_cliques, graph_from_edge_list,
                        independence_number, is_bipartite, is_connected, isolated_vertices,
                        path_graph, realize_sequence, two_coloring)
 
@@ -77,6 +77,14 @@ def test_graph_stores_rows_only():
     assert not hasattr(g, "__dict__")
     with pytest.raises(AttributeError):
         g.rows = ()
+
+
+def test_graph_cannot_lose_an_attribute_and_equals_only_graphs():
+    g = complete_graph(3)
+    with pytest.raises(AttributeError, match="^Graph is immutable$"):
+        del g.rows
+    assert g.__eq__(g.rows) is NotImplemented
+    assert g != g.rows
 
 
 def test_graph_survives_pickle_deepcopy_and_its_repr():
@@ -200,6 +208,23 @@ def test_families():
         generate_family("cycle", 2)
     with pytest.raises(ValueError):
         generate_family("star", 4)
+
+
+def test_families_reject_zero_vertices():
+    for family, name in ((complete_graph, "complete"), (path_graph, "path"),
+                         (empty_graph, "empty")):
+        with pytest.raises(ValueError, match=f"^{name} graph needs n >= 1, got 0$"):
+            family(0)
+    with pytest.raises(ValueError, match="^vertex count must be >= 0, got -1$"):
+        graph_from_edge_list(-1, [])
+
+
+def test_labeled_graph_rejects_a_wrong_label_count_and_labels_below_one():
+    g = path_graph(2)
+    with pytest.raises(ValueError, match="^label count does not match vertex count$"):
+        LabeledGraph(g, (2,))
+    with pytest.raises(ValueError, match="^labels must be positive, got 0$"):
+        LabeledGraph(g, (2, 0))
 
 
 def test_random_graph_is_seeded_and_spans_its_probabilities():

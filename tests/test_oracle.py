@@ -7,7 +7,7 @@ import random
 import pytest
 
 from graphcode import (Budget, BudgetExceededError, ORACLE_COVER_MAX_VERTICES,
-                       ORACLE_MAX_VERTICES, all_labeled_graphs, apply_permutation,
+                       ORACLE_MAX_VERTICES, all_cliques, all_labeled_graphs, apply_permutation,
                        brute_force_code, brute_force_isomorphic,
                        brute_force_minimum_coverings, brute_force_sigma_of_covering,
                        brute_force_theta, complete_graph, cycle_graph, empty_graph,
@@ -86,6 +86,15 @@ def test_all_labeled_graphs_enumeration():
     assert all(g.vertex_count == 3 for g in graphs_3)
     counts = sorted(g.edge_count for g in graphs_3)
     assert counts == [0, 1, 1, 1, 2, 2, 2, 3]
+
+
+def test_oracle_rejects_out_of_range_arguments():
+    with pytest.raises(ValueError, match="^min_size must be >= 1, got 0$"):
+        all_cliques(path_graph(3), 0)
+    with pytest.raises(ValueError, match="^coverings need at least one vertex$"):
+        brute_force_minimum_coverings(graph_from_edge_list(0, []))
+    with pytest.raises(ValueError, match="^vertex count must be >= 0, got -1$"):
+        next(all_labeled_graphs(-1))
 
 
 def test_oracle_budget_exhaustion():

@@ -39,6 +39,23 @@ def test_polynomial_merges_and_validates():
         GraphPolynomial([((0,), 1)])  # variables are 1-based
 
 
+def test_polynomial_equality_hash_and_repr():
+    p = GraphPolynomial({(1,): 3})
+    assert p == GraphPolynomial([((1,), 1), ((1,), 2)])
+    assert hash(p) == hash(GraphPolynomial([((1,), 2), ((1,), 1)]))
+    assert p.__eq__(p.render()) is NotImplemented
+    assert p != p.render()
+    assert repr(p) == "GraphPolynomial('3*x1')"
+
+
+def test_detectors_and_closed_form_reject_empty_inputs():
+    for detect in (detect_disconnected_poly, detect_bipartite_poly):
+        with pytest.raises(ValueError, match="^polynomial has no monomials$"):
+            detect(GraphPolynomial({}))
+    with pytest.raises(ValueError, match="^need n >= 2, got 1$"):
+        divisor_graph_polynomial_closed_form(1)
+
+
 def test_render_known_forms():
     assert GraphPolynomial({(1,): 3}).render() == "3*x1"
     assert GraphPolynomial({(): 2}).render() == "2"

@@ -35,6 +35,11 @@ def test_first_primes():
     assert first_primes(5) == (2, 3, 5, 7, 11)
 
 
+def test_first_primes_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="^prime count must be >= 0, got -1$"):
+        first_primes(-1)
+
+
 def test_factorize_values():
     assert factorize(1) == ()
     assert factorize(12) == ((2, 2), (3, 1))
