@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 from .budget import Budget
 from .cliques import Covering, _maximal_coverings, is_total_clique_covering, maximal_cliques
 from .graphs import Graph, LabeledGraph, _bits, realize_sequence
-from .primes import first_primes, is_square_free, prime_support
+from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
+from .primes import factorize, first_primes, prime_support
 
 
 def _sequence_memberships(entries: Sequence[int], tracker: Budget) -> list[int]:
@@ -38,15 +39,17 @@ def _sequence_memberships(entries: Sequence[int], tracker: Budget) -> list[int]:
     if not entries:
         raise ValueError("coding sequence must be non-empty")
     previous = 0
+    supports = []
     for x in entries:
         if x < 1:
             raise ValueError(f"coding sequence entries must be >= 1, got {x}")
         if x < previous:
             raise ValueError("coding sequence must be non-decreasing")
-        if x > 1 and not is_square_free(x, tracker):
+        factors = factorize(x, tracker)
+        if any(e > 1 for _, e in factors):
             raise ValueError(f"non-trivial entry {x} is not square-free")
+        supports.append([p for p, _ in factors])
         previous = x
-    supports = [prime_support(x, tracker) for x in entries]
     rank = {p: r for r, p in enumerate(sorted({p for support in supports for p in support}))}
     masks = [sum(1 << rank[p] for p in support) for support in supports]
     seen = shared = 0
@@ -173,10 +176,7 @@ def _interchangeable_lower_masks(patterns: list[int], cliques: list[int],
     k = len(cliques)
     both = 1 | 1 << k
     low = (1 << k) - 1
-    # One unit per pair, as if charged one by one: a budget that runs out
-    # stops one unit past its limit.
-    pairs = k * (k - 1) // 2 + sum(len(group) * (len(group) - 1) // 2 for group in twins)
-    tracker.charge(min(pairs, tracker.limit + 1 - tracker.used))
+    tracker.charge(k * (k - 1) // 2 + sum(len(group) * (len(group) - 1) // 2 for group in twins))
     # A swap keeps each member's IN and total counts, so only cliques whose
     # members' counts agree can be interchangeable.
     shapes: dict[tuple, list[int]] = {}
@@ -546,8 +546,6 @@ def validate_coding_sequence(entries: Sequence[int], g: Graph,
     Shape checks are structural.  The isomorphism check uses the brute-force
     oracle where it fits and falls back to comparing codes beyond that.
     """
-    from .oracle import ORACLE_MAX_VERTICES, brute_force_isomorphic
-
     tracker = Budget.coerce(budget)
     try:
         check_sequence_shape(entries, tracker)

@@ -121,17 +121,13 @@ class LabeledGraph(_LabeledGraphFields):
 
 def graph_from_edge_list(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph in one pass, accepting either orientation and rejecting loops."""
-    if vertex_count < 0:
-        raise ValueError(f"vertex count must be >= 0, got {vertex_count}")
-    rows = [0] * vertex_count
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at vertex {u} is not allowed")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"bad edge ({min(u, v)}, {max(u, v)}) for {vertex_count} vertices")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph._from_rows(vertex_count, tuple(rows))
+    def oriented():
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"loop at vertex {u} is not allowed")
+            yield (u, v) if u < v else (v, u)
+
+    return Graph(vertex_count, oriented())
 
 
 def graph_from_cliques(vertex_count: int, cliques: Iterable[Iterable[int]]) -> Graph:

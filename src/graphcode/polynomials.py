@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .budget import Budget
 from .coding import _covering_memberships, _sequence_memberships, code
 from .graphs import Graph, _bits, connected_components, graph_from_cliques, is_bipartite
-from .primes import factorize
+from .primes import factorize, nth_prime
 
 Monomial = tuple  # strictly ascending 1-based variable indices; () is constant
 
@@ -164,8 +164,6 @@ def divisor_graph_polynomial_closed_form(n: int, budget: int | Budget | None = N
 
 def closed_form_family(family: str, n: int) -> tuple[tuple[int, ...], GraphPolynomial]:
     """Known code and polynomial for complete graphs, paths, and cycles."""
-    from .primes import nth_prime
-
     if family == "complete":
         if n < 1:
             raise ValueError("complete closed form needs n >= 1")

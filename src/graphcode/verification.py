@@ -114,12 +114,11 @@ def run_invariant_suite(g: Graph, budget: int | Budget | None = None) -> list[Ch
                                f"F={polynomial.render()}"))
 
     f_poly = poly_from_covering(g, coverings[0])
-    ok = (detect_disconnected_poly(polynomial) == (not is_connected(g))
-          and detect_disconnected_poly(f_poly) == (not is_connected(g)))
+    disconnected, bipartite = not is_connected(g), is_bipartite(g)
+    ok = detect_disconnected_poly(polynomial) == detect_disconnected_poly(f_poly) == disconnected
     results.append(CheckResult("disconnection is readable off the polynomials", ok))
 
-    ok = (detect_bipartite_poly(polynomial) == is_bipartite(g)
-          and detect_bipartite_poly(f_poly) == is_bipartite(g))
+    ok = detect_bipartite_poly(polynomial) == detect_bipartite_poly(f_poly) == bipartite
     results.append(CheckResult("bipartiteness is readable off the polynomials", ok))
 
     return results

@@ -104,16 +104,22 @@ def test_cli_round_compares_calls_byte_for_byte(copy, tmp_path, monkeypatch):
     assert all(argv[-2:] == ["--budget", "1000000"] for argv in calls)
     sample = calls[::500] + [["gen", "--family", "cycle", "--n", "2", "--budget", "10"],
                              ["code", str(tmp_path / "missing.g6")]]
-    report = tool.compare_cli(copy, graphcode, sample)
+    report = tool.compare_calls(tool.call, copy, graphcode, sample)
     assert report == {"calls": len(sample), "differ": []}
-    assert tool.render_cli(report) == [f"cli: {len(sample)} calls; differing 0"]
-    assert tool.call(copy, sample[-1])[0] == 1
+
+    def argv_line(*argv):
+        return " ".join(argv)
+
+    assert (tool.render_calls("cli", report, argv_line)
+            == [f"cli: {len(sample)} calls; differing 0"])
+    assert tool.call(copy, *sample[-1])[0] == 1
     # A copy that renders codes differently differs where a code is printed:
     # in this sample, on the iso call alone.
     monkeypatch.setattr(sys.modules["graphcode_copy.cli"], "render_sequence", lambda sigma: "?")
-    report = tool.compare_cli(copy, graphcode, sample)
+    report = tool.compare_calls(tool.call, copy, graphcode, sample)
     assert report["differ"] == [argv for argv in sample if argv[0] == "iso"] != []
-    assert tool.render_cli(report)[1] == "  differ: " + " ".join(report["differ"][0])
+    assert (tool.render_calls("cli", report, argv_line)[1]
+            == "  differ: " + " ".join(report["differ"][0]))
 
 
 def test_conversions_round_compares_results_messages_and_units(copy, monkeypatch):
@@ -122,9 +128,10 @@ def test_conversions_round_compares_results_messages_and_units(copy, monkeypatch
     # Every covering's six calls come first, then three per sequence,
     # the malformed cases leading.
     sample = calls[:30] + calls[9000:9060] + calls[-25:] + calls[::700]
-    report = tool.compare_conversions(copy, graphcode, sample)
+    report = tool.compare_calls(tool.convert, copy, graphcode, sample)
     assert report == {"calls": len(sample), "differ": []}
-    assert tool.render_conversions(report) == [f"conversions: {len(sample)} calls; differing 0"]
+    assert (tool.render_calls("conversions", report, "{} {} {}".format)
+            == [f"conversions: {len(sample)} calls; differing 0"])
     outcomes = [tool.convert(graphcode, *c) for c in sample]
     assert {type(result) for result, _ in outcomes} >= {tuple, list, bool}
     assert ("ValueError", "coding sequence must be non-empty") in [r for r, _ in outcomes]
@@ -146,12 +153,13 @@ def test_conversions_round_compares_results_messages_and_units(copy, monkeypatch
                         lambda g, cov: copy.GraphPolynomial(
                             {m: c for m, c in poly(g, cov).terms.items() if m}
                             or {(1,): 1}))
-    report = tool.compare_conversions(graphcode, copy, sample)
+    report = tool.compare_calls(tool.convert, graphcode, copy, sample)
     zero = [c for c in sample if c[1] is None and c[2][0][:1] == (0,)]
     constant = [c for c in sample if c[0] == "poly_from_covering"
                 and () in dict(tool.convert(graphcode, *c)[0])]
     assert zero and report["differ"] == [c for c in sample if c in zero or c in constant]
-    assert tool.render_conversions(report)[1].startswith("  differ: ")
+    assert tool.render_calls("conversions", report, "{} {} {}".format)[1].startswith(
+        "  differ: ")
 
 
 def test_parse_round_compares_graphs_renders_and_messages(copy, monkeypatch):
@@ -167,9 +175,10 @@ def test_parse_round_compares_graphs_renders_and_messages(copy, monkeypatch):
     assert [args[0] for _, args in calls[4:12]] == ["graph" + ext for ext in tool.EXTENSIONS]
     assert {args[-1] for _, args in calls[:12]} == {"@"}
     sample = calls[::37]
-    report = tool.compare_parses(copy, graphcode, sample)
+    report = tool.compare_calls(tool.parse, copy, graphcode, sample)
     assert report == {"calls": len(sample), "differ": []}
-    assert tool.render_parses(report) == [f"parse: {len(sample)} calls; differing 0"]
+    assert (tool.render_calls("parse", report, "{} {!r}".format)
+            == [f"parse: {len(sample)} calls; differing 0"])
     outcomes = [tool.parse(graphcode, *c) for c in sample]
     graphs = [c for c, result in zip(sample, outcomes)
               if isinstance(result, list) or isinstance(result, tuple) and len(result) == 4]
@@ -191,8 +200,8 @@ def test_parse_round_compares_graphs_renders_and_messages(copy, monkeypatch):
 
     monkeypatch.setattr(copy, "parse_dimacs", reworded)
     monkeypatch.setattr(copy, "render_graph6", lambda g: "?")
-    report = tool.compare_parses(graphcode, copy, sample)
+    report = tool.compare_calls(tool.parse, graphcode, copy, sample)
     rejected = [c for c, result in zip(sample, outcomes)
                 if c[0] == "parse_dimacs" and c not in graphs]
     assert rejected and report["differ"] == [c for c in sample if c in graphs or c in rejected]
-    assert tool.render_parses(report)[1].startswith("  differ: ")
+    assert tool.render_calls("parse", report, "{} {!r}".format)[1].startswith("  differ: ")

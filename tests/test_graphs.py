@@ -30,6 +30,8 @@ def graphs(draw, max_vertices: int = 6):
 def test_edges_are_normalized():
     g = graph_from_edge_list(3, [(2, 0), (1, 2)])
     assert g.sorted_edges() == [(0, 2), (1, 2)]
+    # A one-shot generator builds the same rows as a list.
+    assert graph_from_edge_list(3, (e for e in [(2, 0), (1, 2)])).rows == g.rows == (4, 4, 3)
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(0, 1)
 
@@ -49,6 +51,22 @@ def test_loops_and_bad_vertices_rejected():
         Graph(-1, ())
     with pytest.raises(ValueError):
         graph_from_edge_list(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(1, 1)], "loop at vertex 1 is not allowed"),
+    (3, [(3, 0)], "bad edge (0, 3) for 3 vertices"),
+    (3, [(2, -1)], "bad edge (-1, 2) for 3 vertices"),
+    (-1, [(0, 0)], "vertex count must be >= 0, got -1"),
+    (3, [(1, 1), (0, 5)], "loop at vertex 1 is not allowed"),
+    (3, [(0, 5), (1, 1)], "bad edge (0, 5) for 3 vertices"),
+])
+def test_edge_list_errors_name_the_first_fault(n, edges, message):
+    # The vertex count is checked before any edge, and a reversed pair is
+    # named in ascending order.
+    with pytest.raises(ValueError) as caught:
+        graph_from_edge_list(n, edges)
+    assert str(caught.value) == message
 
 
 def test_graph_equality_ignores_edge_order_and_orientation():

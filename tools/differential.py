@@ -209,30 +209,19 @@ def cli_calls(workdir: Path) -> list[list[str]]:
     return [argv + ["--budget", str(CLI_BUDGET)] for argv in calls]
 
 
-def call(side, argv: list[str]) -> tuple[object, str, str]:
+def call(side, *argv: str) -> tuple[object, str, str]:
     """(exit code, stdout, stderr) of side's cli.main on argv; an exception
     that escapes main stands in for the exit code."""
     main = importlib.import_module(side.__name__ + ".cli").main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a crash on one side is a difference, not the end
             code = f"{type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
-
-
-def compare_cli(parent, change, calls: list[list[str]]) -> dict:
-    """Run every call on both sides and collect those whose outcomes differ."""
-    return {"calls": len(calls),
-            "differ": [argv for argv in calls if call(parent, argv) != call(change, argv)]}
-
-
-def render_cli(report: dict) -> list[str]:
-    lines = [f"cli: {report['calls']} calls; differing {len(report['differ'])}"]
-    return lines + [f"  differ: {' '.join(argv)}" for argv in report["differ"][:SHOW]]
 
 
 def conversion_calls(lib) -> list[tuple[str, tuple | None, tuple]]:
@@ -279,18 +268,6 @@ def convert(side, function: str, graph: tuple | None, args: tuple) -> tuple:
     if isinstance(result, side.GraphPolynomial):
         result = list(result.terms.items())
     return result, tracker.used
-
-
-def compare_conversions(parent, change, calls: list) -> dict:
-    """Run every conversion call on both sides and collect those that differ."""
-    return {"calls": len(calls),
-            "differ": [c for c in calls if convert(parent, *c) != convert(change, *c)]}
-
-
-def render_conversions(report: dict) -> list[str]:
-    lines = [f"conversions: {report['calls']} calls; differing {len(report['differ'])}"]
-    return lines + [f"  differ: {function} {graph} {args}"
-                    for function, graph, args in report["differ"][:SHOW]]
 
 
 def malformed(rng, text: str) -> list[str]:
@@ -348,15 +325,16 @@ def parse(side, function: str, args: tuple) -> object:
     return shown(result) if isinstance(result, side.Graph) else result
 
 
-def compare_parses(parent, change, calls: list) -> dict:
-    """Run every parse call on both sides and collect those that differ."""
+def compare_calls(outcome, parent, change, calls: list) -> dict:
+    """Collect the calls whose outcome(side, *call) differs between the sides."""
     return {"calls": len(calls),
-            "differ": [c for c in calls if parse(parent, *c) != parse(change, *c)]}
+            "differ": [c for c in calls if outcome(parent, *c) != outcome(change, *c)]}
 
 
-def render_parses(report: dict) -> list[str]:
-    lines = [f"parse: {report['calls']} calls; differing {len(report['differ'])}"]
-    return lines + [f"  differ: {function} {args!r}" for function, args in report["differ"][:SHOW]]
+def render_calls(name: str, report: dict, shown) -> list[str]:
+    """A call round's summary line, then its first differing calls as shown(*call)."""
+    lines = [f"{name}: {report['calls']} calls; differing {len(report['differ'])}"]
+    return lines + [f"  differ: {shown(*c)}" for c in report["differ"][:SHOW]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -379,15 +357,13 @@ def main(argv: list[str] | None = None) -> int:
                 report = compare(parent, graphcode, function, graphs, budget)
                 print("\n".join(render(f"{name} {function}", report)), flush=True)
                 failed |= bool(report["mismatches"] or report["lost"])
-        report = compare_cli(parent, graphcode, cli_calls(Path(scratch) / "cli"))
-        print("\n".join(render_cli(report)), flush=True)
-        failed |= bool(report["differ"])
-        report = compare_conversions(parent, graphcode, conversion_calls(graphcode))
-        print("\n".join(render_conversions(report)), flush=True)
-        failed |= bool(report["differ"])
-        report = compare_parses(parent, graphcode, parse_calls())
-        print("\n".join(render_parses(report)), flush=True)
-        failed |= bool(report["differ"])
+        rounds = (("cli", call, cli_calls(Path(scratch) / "cli"), lambda *argv: " ".join(argv)),
+                  ("conversions", convert, conversion_calls(graphcode), "{} {} {}".format),
+                  ("parse", parse, parse_calls(), "{} {!r}".format))
+        for name, outcome, calls, shown in rounds:
+            report = compare_calls(outcome, parent, graphcode, calls)
+            print("\n".join(render_calls(name, report, shown)), flush=True)
+            failed |= bool(report["differ"])
     return 1 if failed else 0
 
 
